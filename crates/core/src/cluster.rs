@@ -613,10 +613,12 @@ fn run_shutdown_protocol(node: &Arc<ChantNode>, n_nodes: u32, resident: usize, q
     // Quiesce locally first: wait for every thread except this main and
     // the resident runtime threads (server + daemons) to finish. Skipped
     // when main panicked (its threads may be wedged); the barrier still
-    // runs so other nodes can finish.
+    // runs so other nodes can finish. Re-checked on a 1 ms timer, off the
+    // run path, rather than by yielding beside the threads it waits for.
     let base = 1 + resident;
     while quiesce && node.vp().live_threads() > base {
-        node.yield_now();
+        node.vp()
+            .block_until(Instant::now() + Duration::from_millis(1));
     }
     if n_nodes == 1 {
         return;

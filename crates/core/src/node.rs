@@ -70,6 +70,8 @@ pub struct ChantNode {
     /// still-running thread. The seq rides along so the reply can be
     /// cached in the dedup window when it is finally sent.
     pub(crate) exit_waiters: Mutex<HashMap<Tid, Vec<JoinWaiter>>>,
+    /// Threads of this node blocked in a local `remote_join`, per target.
+    pub(crate) local_joiners: Mutex<HashMap<Tid, Vec<Tid>>>,
     /// Threads detached before exiting: their exit record is discarded.
     pub(crate) detach_requested: Mutex<std::collections::HashSet<Tid>>,
     /// Node-local key/value store backing the remote-fetch/store service
@@ -120,6 +122,7 @@ impl ChantNode {
             rsr: RsrState::new(retry, dedup_window),
             exits: Mutex::new(HashMap::new()),
             exit_waiters: Mutex::new(HashMap::new()),
+            local_joiners: Mutex::new(HashMap::new()),
             detach_requested: Mutex::new(std::collections::HashSet::new()),
             kv: Mutex::new(HashMap::new()),
             server_tid: AtomicU32::new(0),
@@ -297,6 +300,9 @@ impl ChantNode {
                 },
             );
         }
+        // Local joiners claim for themselves once woken, after any
+        // remote joiner below (which claims here, synchronously).
+        let local = self.local_joiners.lock().remove(&tid).unwrap_or_default();
         let waiters = self.exit_waiters.lock().remove(&tid).unwrap_or_default();
         if !waiters.is_empty() {
             // First waiter claims the value; the rest see AlreadyJoined —
@@ -326,6 +332,9 @@ impl ChantNode {
                     self.rsr.dedup_complete(joiner.address(), seq, sent);
                 }
             }
+        }
+        for joiner in local {
+            let _ = self.vp.unblock(joiner);
         }
     }
 

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use chant_comm::Address;
-use chant_ult::{Priority, SpawnAttr};
+use chant_ult::{current_tid, Priority, SpawnAttr};
 
 use crate::error::ChantError;
 use crate::id::ChanterId;
@@ -96,16 +96,33 @@ impl ChantNode {
     pub fn remote_join(self: &Arc<Self>, id: ChanterId) -> Result<Bytes, ChantError> {
         self.check_dst(id)?;
         if id.address() == self.address() {
-            // Local join: poll the exit table cooperatively. Works even
-            // on a node without a server thread.
+            // Local join: block as a local exit waiter until
+            // `record_exit` wakes us. Works even on a node without a
+            // server thread.
+            let me = current_tid().expect("remote_join outside a user-level thread");
+            let mut registered = false;
             loop {
-                if self.exits.lock().contains_key(&id.thread) {
-                    return self.claim_exit(id.thread);
+                {
+                    // As in `handle_join`: the exits lock spans the check
+                    // and the registration, so an exit cannot slip
+                    // between them unobserved.
+                    let exits = self.exits.lock();
+                    if exits.contains_key(&id.thread) {
+                        drop(exits);
+                        return self.claim_exit(id.thread);
+                    }
+                    let mut waiters = self.local_joiners.lock();
+                    let queued = waiters.get(&id.thread).is_some_and(|v| v.contains(&me));
+                    // Dequeued with no exit record: it exited detached.
+                    if (registered && !queued) || self.vp().thread_info(id.thread).is_none() {
+                        return Err(ChantError::NoSuchThread(id));
+                    }
+                    if !queued {
+                        waiters.entry(id.thread).or_default().push(me);
+                        registered = true;
+                    }
                 }
-                if self.vp().thread_info(id.thread).is_none() {
-                    return Err(ChantError::NoSuchThread(id));
-                }
-                self.yield_now();
+                self.vp().block();
             }
         }
         let args = Writer::new().u32(id.thread).finish();

@@ -105,11 +105,6 @@ pub(crate) struct WqHook {
     // back-reference would form a cycle and leak the whole VP.
     vp: Mutex<Option<std::sync::Weak<Vp>>>,
     table: Mutex<WqTable>,
-    /// Deadlines armed by timed waits, keyed by thread. Kept out of the
-    /// matching table so the no-deadline case costs one relaxed load per
-    /// schedule point (lock order: `table` before `deadlines`).
-    deadlines: Mutex<Vec<(Tid, Instant)>>,
-    armed: AtomicUsize,
 }
 
 impl WqHook {
@@ -126,8 +121,6 @@ impl WqHook {
         Arc::new(WqHook {
             vp: Mutex::new(None),
             table: Mutex::new(table),
-            deadlines: Mutex::new(Vec::new()),
-            armed: AtomicUsize::new(0),
         })
     }
 
@@ -157,19 +150,6 @@ impl WqHook {
                     owner.remove(&token);
                 }
             }
-        }
-    }
-
-    fn arm_deadline(&self, tid: Tid, deadline: Instant) {
-        self.deadlines.lock().push((tid, deadline));
-        self.armed.fetch_add(1, Ordering::Release);
-    }
-
-    fn disarm_deadline(&self, tid: Tid) {
-        let mut dl = self.deadlines.lock();
-        if let Some(i) = dl.iter().position(|(t, _)| *t == tid) {
-            dl.swap_remove(i);
-            self.armed.fetch_sub(1, Ordering::Release);
         }
     }
 
@@ -204,7 +184,6 @@ impl SchedulerHook for WqHook {
                             owner.remove(&sibling);
                         }
                     }
-                    self.disarm_deadline(tid);
                     let _ = vp.unblock(tid);
                 }
             }
@@ -220,28 +199,10 @@ impl SchedulerHook for WqHook {
                         // (wait-any); drop its other entries so it is
                         // woken exactly once.
                         entries.retain(|(t, _)| *t != tid);
-                        self.disarm_deadline(tid);
                         let _ = vp.unblock(tid);
                     } else {
                         i += 1;
                     }
-                }
-            }
-        }
-        // Expired timed waits: wake them so they can observe the timeout.
-        // Their table entries stay registered until the woken thread
-        // calls `unregister` on itself.
-        if self.armed.load(Ordering::Acquire) > 0 {
-            let now = Instant::now();
-            let mut dl = self.deadlines.lock();
-            let mut i = 0;
-            while i < dl.len() {
-                if dl[i].1 <= now {
-                    let (tid, _) = dl.swap_remove(i);
-                    self.armed.fetch_sub(1, Ordering::Release);
-                    let _ = vp.unblock(tid);
-                } else {
-                    i += 1;
                 }
             }
         }
@@ -437,25 +398,21 @@ impl PollEngine {
                 let me = current_tid().expect("wait_deadline outside a user-level thread");
                 let wq = self.wq.as_ref().expect("WQ policy without its hook");
                 wq.register(me, handle.clone());
-                wq.arm_deadline(me, deadline);
-                loop {
-                    self.vp.block();
+                // The VP's timer wakes us at the deadline; the hook's
+                // scan wakes us on completion. Our table entry is gone
+                // after a completion wake but not after a timer or
+                // spurious one (`unregister` is idempotent).
+                let result = loop {
+                    self.vp.block_until(deadline);
                     if handle.is_complete() {
-                        // The completion wake dropped our entries and
-                        // disarmed the deadline; a deadline wake that
-                        // raced a late completion did not — clean up
-                        // both ways (the calls are idempotent).
-                        wq.disarm_deadline(me);
-                        wq.unregister(me);
-                        return Ok(());
+                        break Ok(());
                     }
                     if Instant::now() >= deadline {
-                        wq.disarm_deadline(me);
-                        wq.unregister(me);
-                        return Err(ChantError::Timeout);
+                        break Err(ChantError::Timeout);
                     }
-                    // Spurious wake: entries and deadline still armed.
-                }
+                };
+                wq.unregister(me);
+                result
             }
             PollingPolicy::SchedulerPollsPs => {
                 // The TCB's pending check doubles as the timer: the

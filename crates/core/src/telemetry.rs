@@ -171,9 +171,12 @@ impl Emitter {
     ) -> Emitter {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let stop2 = Arc::clone(&stop);
+        // Baseline before the nodes start, not when the thread gets to
+        // run: traffic in between would be missing from every tick.
+        let baseline = collect(&nodes, &world);
         let thread = std::thread::Builder::new()
             .name("chant-telemetry".into())
-            .spawn(move || run(interval, &nodes, &world, path.as_deref(), &stop2))
+            .spawn(move || run(interval, &nodes, &world, path.as_deref(), &stop2, baseline))
             .map_err(|e| {
                 SPAWN_FAILURES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 eprintln!("chant: telemetry emitter thread failed to spawn ({e}); telemetry disabled for this run");
@@ -197,13 +200,13 @@ fn run(
     world: &CommWorld,
     path: Option<&std::path::Path>,
     stop: &(Mutex<bool>, Condvar),
+    mut prev: Vec<(&'static str, u64)>,
 ) {
     let Some(mut sink) = Sink::open(path) else {
         return;
     };
     let started = Instant::now();
     let mut seq = 0u64;
-    let mut prev = collect(nodes, world);
     loop {
         let stopped = {
             let mut guard = stop.0.lock();

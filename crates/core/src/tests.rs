@@ -676,6 +676,73 @@ fn local_spawn_join_without_server() {
     });
 }
 
+#[test]
+fn local_join_blocks_until_exit_without_yield_polling() {
+    let cluster = ChantCluster::builder().pes(1).server(false).build();
+    cluster.run(|node| {
+        let target = node.spawn_chanter(SpawnAttr::new(), |n| {
+            for _ in 0..100 {
+                n.yield_now();
+            }
+            Bytes::from_static(b"done")
+        });
+        let before = node.vp().stats().snapshot();
+        assert_eq!(&node.remote_join(target).unwrap()[..], b"done");
+        let yields = node.vp().stats().snapshot().yields - before.yields;
+        // The target's own 100 yields; a polling joiner would add ~100.
+        assert!(yields < 120, "the joiner yield-polled: {yields} yields");
+    });
+}
+
+#[test]
+fn local_joiners_see_single_claim_and_detach() {
+    let cluster = ChantCluster::builder().pes(1).server(false).build();
+    cluster.run(|node| {
+        // Two local joiners of one target: exactly one claims the value.
+        let target = node.spawn_chanter(SpawnAttr::new(), |n| {
+            n.recv_tag(1).unwrap();
+            Bytes::from_static(b"v")
+        });
+        let other = node.spawn_chanter(SpawnAttr::new(), move |n| match n.remote_join(target) {
+            Ok(v) => v,
+            Err(ChantError::AlreadyJoined(_)) => Bytes::from_static(b"already"),
+            Err(e) => panic!("unexpected join error: {e:?}"),
+        });
+        while node.vp().thread_info(other.thread).unwrap().state != chant_ult::ThreadState::Blocked
+        {
+            node.yield_now();
+        }
+        node.send(target, 1, b"go").unwrap();
+        let mine = match node.remote_join(target) {
+            Ok(v) => v,
+            Err(ChantError::AlreadyJoined(_)) => Bytes::from_static(b"already"),
+            Err(e) => panic!("unexpected join error: {e:?}"),
+        };
+        let theirs = node.remote_join(other).unwrap();
+        let mut got = [&mine[..], &theirs[..]];
+        got.sort_unstable();
+        assert_eq!(got, [&b"already"[..], &b"v"[..]]);
+
+        // Detached while a local joiner waits: the joiner is woken with
+        // NoSuchThread rather than left blocked.
+        let target = node.spawn_chanter(SpawnAttr::new(), |n| {
+            n.recv_tag(2).unwrap();
+            Bytes::new()
+        });
+        let joiner = node.spawn_chanter(SpawnAttr::new(), move |n| match n.remote_join(target) {
+            Err(ChantError::NoSuchThread(_)) => Bytes::from_static(b"gone"),
+            other => panic!("expected NoSuchThread, got {other:?}"),
+        });
+        while node.vp().thread_info(joiner.thread).unwrap().state != chant_ult::ThreadState::Blocked
+        {
+            node.yield_now();
+        }
+        node.remote_detach(target).unwrap();
+        node.send(target, 2, b"go").unwrap();
+        assert_eq!(&node.remote_join(joiner).unwrap()[..], b"gone");
+    });
+}
+
 // ---------------------------------------------------------------------
 // The Appendix-A interface
 // ---------------------------------------------------------------------

@@ -25,7 +25,9 @@ pub struct VpConfig {
     /// hooks installed the scheduler may legitimately spin forever waiting
     /// for a message from another address space, so the limit only applies
     /// to the hook-free (pure shared-memory) case, where no external event
-    /// can ever make a thread ready.
+    /// can ever make a thread ready. An armed timer (a thread in
+    /// [`crate::Vp::block_until`]) is such an event, so the limit is not
+    /// applied while one is armed.
     pub deadlock_spin_limit: u64,
 }
 

@@ -51,13 +51,25 @@ fn is_wakeable(vp: &Arc<Vp>, tid: Tid) -> bool {
         )
 }
 
-/// Pop waiters until one is still wakeable and wake it.
-fn wake_first_alive(vp: &Arc<Vp>, waiters: &mut VecDeque<Tid>) {
+/// Pop waiters until one is still wakeable and wake it. Returns whether
+/// a waiter was woken.
+fn wake_first_alive(vp: &Arc<Vp>, waiters: &mut VecDeque<Tid>) -> bool {
     while let Some(t) = waiters.pop_front() {
         if is_wakeable(vp, t) {
             let _ = vp.unblock(t);
-            return;
+            return true;
         }
+    }
+    false
+}
+
+/// Drop `me`'s queue entry, if any. A thread can acquire while still
+/// queued (a spurious wake let it in before the waker's choice ran);
+/// left behind, its entry would take the next wakeup meant for a real
+/// waiter.
+fn leave(waiters: &mut VecDeque<Tid>, me: Tid) {
+    if let Some(i) = waiters.iter().position(|&t| t == me) {
+        waiters.remove(i);
     }
 }
 
@@ -109,6 +121,7 @@ impl<T: ?Sized> UltMutex<T> {
                 match st.owner {
                     None => {
                         st.owner = Some(me);
+                        leave(&mut st.waiters, me);
                         break;
                     }
                     Some(o) => {
@@ -210,9 +223,14 @@ impl UltCondvar {
 
     /// Like [`UltCondvar::wait`], but give up after `timeout`. Returns
     /// the re-acquired guard and whether the wait *timed out* (`true` =
-    /// no notification arrived in time). The thread polls by yielding —
-    /// there is no timer in the VP — so other ready threads keep running
-    /// while it waits.
+    /// no notification arrived in time). The thread blocks on the VP's
+    /// timer ([`Vp::block_until`]), off the run path, so it costs no
+    /// switches while it waits. Whether it was notified is decided by
+    /// the waiter queue alone: a notification that dequeued it is always
+    /// reported, even when it lands right at the deadline.
+    ///
+    /// # Errors
+    /// [`UltError::NotUltContext`] when called from a non-ULT OS thread.
     pub fn wait_timeout<'a, T: ?Sized>(
         &self,
         guard: UltMutexGuard<'a, T>,
@@ -223,38 +241,42 @@ impl UltCondvar {
         let deadline = Instant::now() + timeout;
         self.waiters.lock().push_back(me);
         drop(guard); // release the mutex
-        loop {
-            self.vp.yield_now();
-            // A notifier popped us from the queue. (Its unblock left a
-            // wake token, since we were Ready rather than Blocked; that
-            // is harmless — every block loop tolerates spurious wakes.)
-            if !self.waiters.lock().contains(&me) {
-                return Ok((mutex.lock()?, false));
-            }
-            if Instant::now() >= deadline {
-                // Remove ourselves so a future notification is not
-                // wasted on a waiter that already gave up.
-                let mut w = self.waiters.lock();
-                if let Some(i) = w.iter().position(|&t| t == me) {
-                    w.remove(i);
+        let timed_out = loop {
+            self.vp.block_until(deadline);
+            let mut w = self.waiters.lock();
+            match w.iter().position(|&t| t == me) {
+                None => {
+                    // Notifiers unblock under this lock, so the one that
+                    // dequeued us is done; a token it left is spent.
+                    self.vp.discard_wake_token();
+                    break false;
                 }
-                drop(w);
-                return Ok((mutex.lock()?, true));
+                Some(i) if Instant::now() >= deadline => {
+                    // Leave the queue so no notification is wasted on a
+                    // waiter that already gave up.
+                    w.remove(i);
+                    break true;
+                }
+                Some(_) => {} // spurious wake: keep waiting
             }
-        }
+        };
+        Ok((mutex.lock()?, timed_out))
     }
 
     /// Wake one waiting thread, if any (skipping waiters that were
-    /// cancelled while queued).
-    pub fn notify_one(&self) {
+    /// cancelled while queued). Returns whether a waiter was woken; a
+    /// woken timed waiter always reports the notification.
+    pub fn notify_one(&self) -> bool {
         let mut w = self.waiters.lock();
-        wake_first_alive(&self.vp, &mut w);
+        wake_first_alive(&self.vp, &mut w)
     }
 
     /// Wake all waiting threads.
     pub fn notify_all(&self) {
-        let all: Vec<Tid> = self.waiters.lock().drain(..).collect();
-        for t in all {
+        // Unblock under the lock, as `notify_one` does: a timed waiter
+        // that finds itself dequeued relies on its wakeup having landed.
+        let mut w = self.waiters.lock();
+        for t in w.drain(..) {
             let _ = self.vp.unblock(t);
         }
     }
@@ -354,6 +376,7 @@ impl UltSemaphore {
                 let mut st = self.state.lock();
                 if st.permits > 0 {
                     st.permits -= 1;
+                    leave(&mut st.waiters, me);
                     return Ok(());
                 }
                 if !st.waiters.contains(&me) {
@@ -365,33 +388,38 @@ impl UltSemaphore {
     }
 
     /// Acquire one permit, giving up after `timeout`. Returns whether a
-    /// permit was acquired. Polls by yielding, like
+    /// permit was acquired. Blocks on the VP's timer, like
     /// [`UltCondvar::wait_timeout`].
+    ///
+    /// # Errors
+    /// [`UltError::NotUltContext`] when called from a non-ULT OS thread.
     pub fn acquire_timeout(&self, timeout: Duration) -> Result<bool, UltError> {
         let me = current_on(&self.vp)?;
         let deadline = Instant::now() + timeout;
+        let mut queued = false;
         loop {
             {
                 let mut st = self.state.lock();
-                let queued = st.waiters.iter().position(|&t| t == me);
-                if st.permits > 0 {
-                    st.permits -= 1;
-                    if let Some(i) = queued {
+                let pos = st.waiters.iter().position(|&t| t == me);
+                if queued && pos.is_none() {
+                    // A releaser dequeued us under this lock; its wakeup
+                    // has landed and a token it left is spent.
+                    self.vp.discard_wake_token();
+                }
+                let got = st.permits > 0;
+                if got || Instant::now() >= deadline {
+                    if let Some(i) = pos {
                         st.waiters.remove(i);
                     }
-                    return Ok(true);
+                    st.permits -= usize::from(got);
+                    return Ok(got);
                 }
-                if Instant::now() >= deadline {
-                    if let Some(i) = queued {
-                        st.waiters.remove(i);
-                    }
-                    return Ok(false);
-                }
-                if queued.is_none() {
+                if pos.is_none() {
                     st.waiters.push_back(me);
                 }
+                queued = true;
             }
-            self.vp.yield_now();
+            self.vp.block_until(deadline);
         }
     }
 
@@ -469,6 +497,7 @@ impl<T: ?Sized> UltRwLock<T> {
                 let mut st = self.state.lock();
                 if st.readers != WRITER_ACTIVE && st.waiting_writers.is_empty() {
                     st.readers += 1;
+                    leave(&mut st.waiting_readers, me);
                     return Ok(UltReadGuard { lock: self });
                 }
                 if !st.waiting_readers.contains(&me) {
@@ -490,6 +519,7 @@ impl<T: ?Sized> UltRwLock<T> {
                 let mut st = self.state.lock();
                 if st.readers == 0 {
                     st.readers = WRITER_ACTIVE;
+                    leave(&mut st.waiting_writers, me);
                     return Ok(UltWriteGuard { lock: self });
                 }
                 if !st.waiting_writers.contains(&me) {

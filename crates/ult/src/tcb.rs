@@ -10,6 +10,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -59,6 +60,11 @@ pub(crate) struct Lifecycle {
     pub joined: bool,
     /// Threads blocked in `join` on this one, to unblock at exit.
     pub joiners: Vec<Tid>,
+    /// Deadline of the `block_until` this thread is parked in, if any.
+    /// The timer wakes the thread only while this still matches the
+    /// entry it fired, so a fire that lost the race against another
+    /// wakeup cannot reach a later block.
+    pub timer: Option<Instant>,
 }
 
 /// The permit a parked thread waits on. The scheduler "grants" the permit
@@ -149,6 +155,7 @@ impl Tcb {
                 outcome: None,
                 joined: false,
                 joiners: Vec::new(),
+                timer: None,
             }),
             tls: Mutex::new(HashMap::new()),
             wake_token: Mutex::new(false),

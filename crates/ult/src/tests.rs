@@ -887,6 +887,57 @@ fn stats_spawned_exited_balance() {
 // Cancelled-waiter purging and timed waits
 // ---------------------------------------------------------------------
 
+/// A waiter that is woken spuriously (a stale token) while queued, and
+/// so acquires ahead of the waiter the releaser chose, must leave the
+/// queue: otherwise its own next release pops its stale entry and the
+/// chosen waiter, now re-queued behind it, is never woken.
+#[test]
+fn acquiring_after_a_spurious_wake_leaves_no_stale_queue_entry() {
+    for use_semaphore in [false, true] {
+        let vp = Vp::new(VpConfig {
+            deadlock_spin_limit: 1000,
+            ..VpConfig::named("stale-entry")
+        });
+        let vp2 = Arc::clone(&vp);
+        vp.run(move |vp| {
+            let m = UltMutex::new(&vp2, ());
+            let sem = UltSemaphore::new(&vp2, 0);
+            let held = m.lock().unwrap();
+            let (m1, s1) = (Arc::clone(&m), Arc::clone(&sem));
+            let chosen = vp.spawn(SpawnAttr::new(), move |_| {
+                if use_semaphore {
+                    s1.acquire().unwrap();
+                } else {
+                    drop(m1.lock().unwrap());
+                }
+            });
+            vp.yield_now(); // `chosen` queues first
+            let (m2, s2) = (Arc::clone(&m), Arc::clone(&sem));
+            let barger = vp.spawn(SpawnAttr::new(), move |vp| {
+                if use_semaphore {
+                    s2.acquire().unwrap();
+                    vp.yield_now(); // `chosen` finds no permit, re-queues
+                    s2.release();
+                } else {
+                    let g = m2.lock().unwrap();
+                    vp.yield_now(); // `chosen` finds the lock held, re-queues
+                    drop(g);
+                }
+            });
+            vp.yield_now(); // `barger` queues behind `chosen`
+            vp.unblock(barger.tid()).unwrap(); // spurious wake
+            if use_semaphore {
+                sem.release(); // wakes `chosen`, queued behind `barger`
+            } else {
+                drop(held);
+            }
+            barger.join().unwrap();
+            chosen.join().expect("the chosen waiter was never woken");
+        })
+        .unwrap();
+    }
+}
+
 #[test]
 fn notify_one_skips_waiter_cancelled_while_queued() {
     // A queues on the condvar first, then B. A is cancelled but NOT yet
@@ -937,8 +988,7 @@ fn condvar_wait_timeout_expires_without_notifier() {
         .run(move |vp| {
             let m = UltMutex::new(&vp2, ());
             let cv = UltCondvar::new(&vp2);
-            // Keep another thread runnable so the waiter's yield-poll
-            // has someone to interleave with.
+            // Keep another thread runnable beside the timed waiter.
             let ticker = vp.spawn(SpawnAttr::new(), |vp| {
                 for _ in 0..50 {
                     vp.yield_now();
@@ -988,7 +1038,7 @@ fn semaphore_acquire_timeout_times_out_then_succeeds() {
     let vp2 = Arc::clone(&vp);
     vp.run(move |vp| {
         let sem = UltSemaphore::new(&vp2, 0);
-        // Keep the run-queue warm while the acquirer polls.
+        // Keep the run-queue warm while the acquirer waits.
         let ticker = vp.spawn(SpawnAttr::new(), |vp| {
             for _ in 0..50 {
                 vp.yield_now();
@@ -1007,6 +1057,262 @@ fn semaphore_acquire_timeout_times_out_then_succeeds() {
             "permit available: must acquire"
         );
         ticker.join().unwrap();
+    })
+    .unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Timed blocking (the VP timer)
+// ---------------------------------------------------------------------
+
+/// Counts idle-hook calls; takes no part in dispatch.
+#[derive(Default)]
+struct IdleCounter(AtomicU64);
+
+impl SchedulerHook for IdleCounter {
+    fn at_schedule_point(&self) {}
+    fn wants_dispatch_check(&self) -> bool {
+        false
+    }
+    fn on_idle(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn timed_wait_stays_off_the_run_path_and_leaves_the_vp_idle() {
+    let vp = vp();
+    let idle = Arc::new(IdleCounter::default());
+    vp.install_hook(Arc::clone(&idle) as Arc<dyn SchedulerHook>);
+    let vp2 = Arc::clone(&vp);
+    let (before, after, timed_out) = vp
+        .run(move |_| {
+            let m = UltMutex::new(&vp2, ());
+            let cv = UltCondvar::new(&vp2);
+            let g = m.lock().unwrap();
+            let before = vp2.stats().snapshot();
+            let (g, timed_out) = cv
+                .wait_timeout(g, std::time::Duration::from_millis(50))
+                .unwrap();
+            let after = vp2.stats().snapshot();
+            drop(g);
+            (before, after, timed_out)
+        })
+        .unwrap();
+    assert!(timed_out);
+    assert_eq!(
+        after.yields - before.yields,
+        0,
+        "a timed wait must not yield-poll"
+    );
+    // Waking from the timer is at most one re-dispatch of the waiter.
+    assert!(
+        after.full_switches - before.full_switches <= 1,
+        "{before:?} -> {after:?}"
+    );
+    assert!(
+        after.self_redispatches - before.self_redispatches <= 1,
+        "{before:?} -> {after:?}"
+    );
+    assert!(after.idle_spins > before.idle_spins);
+    assert!(
+        idle.0.load(Ordering::Relaxed) > 0,
+        "the idle hook never ran"
+    );
+    assert_eq!(vp.armed_timers(), 0);
+}
+
+#[test]
+fn hookless_timed_wait_times_out_instead_of_reporting_deadlock() {
+    let vp = Vp::new(VpConfig {
+        deadlock_spin_limit: 50,
+        ..VpConfig::named("timed-dl")
+    });
+    let vp2 = Arc::clone(&vp);
+    let (cv_timed_out, sem_acquired) = vp
+        .run(move |_| {
+            let m = UltMutex::new(&vp2, ());
+            let cv = UltCondvar::new(&vp2);
+            let g = m.lock().unwrap();
+            let (g, timed_out) = cv
+                .wait_timeout(g, std::time::Duration::from_millis(20))
+                .unwrap();
+            drop(g);
+            let sem = UltSemaphore::new(&vp2, 0);
+            let acquired = sem
+                .acquire_timeout(std::time::Duration::from_millis(20))
+                .unwrap();
+            (timed_out, acquired)
+        })
+        .expect("a thread in a timed wait is not deadlocked");
+    assert!(cv_timed_out);
+    assert!(!sem_acquired);
+}
+
+/// One waiter and one waker race a wake against the waiter's deadline,
+/// `rounds` times, the wake landing at a different offset around the
+/// deadline each round. Every round checks that the wait reports exactly
+/// the wake it got (condvar: notified iff `notify_one` woke it;
+/// semaphore: acquired iff the released permit is gone, so none is
+/// lost), then probes for a stale wakeup token with a plain `block()`
+/// that only the waker may end.
+fn timed_wake_race(vp: Arc<Vp>, rounds: u32, use_semaphore: bool) {
+    use std::time::{Duration, Instant};
+    const WAIT: Duration = Duration::from_micros(400);
+    let vp2 = Arc::clone(&vp);
+    vp.run(move |vp| {
+        let m = UltMutex::new(&vp2, ());
+        let cv = UltCondvar::new(&vp2);
+        let sem = UltSemaphore::new(&vp2, 0);
+        // (round, when the waiter started waiting), published by the waiter.
+        let started = Arc::new(parking_lot::Mutex::new((0u32, Instant::now())));
+        let probe = Arc::new(AtomicU32::new(0));
+        let released = Arc::new(AtomicU32::new(0));
+        let (m2, cv2, sem2) = (Arc::clone(&m), Arc::clone(&cv), Arc::clone(&sem));
+        let (st2, probe2, rel2) = (
+            Arc::clone(&started),
+            Arc::clone(&probe),
+            Arc::clone(&released),
+        );
+        let waiter = vp.spawn(SpawnAttr::new().name("waiter"), move |vp| {
+            let mut woken = Vec::new();
+            for r in 1..=rounds {
+                *st2.lock() = (r, Instant::now());
+                woken.push(if use_semaphore {
+                    sem2.acquire_timeout(WAIT).unwrap()
+                } else {
+                    let g = m2.lock().unwrap();
+                    !cv2.wait_timeout(g, WAIT).unwrap().1
+                });
+                probe2.store(r, Ordering::SeqCst);
+                vp.block();
+                assert_eq!(
+                    rel2.load(Ordering::SeqCst),
+                    r,
+                    "round {r}: a stale wakeup token ended the next plain block()"
+                );
+            }
+            woken
+        });
+        let waiter_tid = waiter.tid();
+        // A failed waiter stops publishing rounds; stop waking it and
+        // let its join below report the failure.
+        let state = |vp: &Arc<Vp>| vp.thread_info(waiter_tid).map(|i| i.state);
+        let failed = |vp: &Arc<Vp>| state(vp) == Some(crate::ThreadState::Done);
+        let mut delivered = Vec::new();
+        'rounds: for r in 1..=rounds {
+            let start = loop {
+                let (sr, at) = *started.lock();
+                if sr == r {
+                    break at;
+                }
+                if failed(vp) {
+                    break 'rounds;
+                }
+                vp.yield_now();
+            };
+            // Offsets sweep -150..+150 µs around the deadline.
+            let offset = (i64::from(r % 31) - 15) * 10;
+            let fire_at = if offset < 0 {
+                start + WAIT - Duration::from_micros(offset.unsigned_abs())
+            } else {
+                start + WAIT + Duration::from_micros(offset as u64)
+            };
+            while Instant::now() < fire_at {
+                vp.yield_now();
+            }
+            let notified = if use_semaphore {
+                sem.release();
+                false
+            } else {
+                cv.notify_one()
+            };
+            // Wait for the probe to park.
+            while !(probe.load(Ordering::SeqCst) == r
+                && state(vp) == Some(crate::ThreadState::Blocked))
+            {
+                if failed(vp) {
+                    break 'rounds;
+                }
+                vp.yield_now();
+            }
+            // Semaphore: the permit went to the waiter or is still
+            // here (take it back for the next round). Condvar: whether
+            // `notify_one` woke the waiter.
+            delivered.push(if use_semaphore {
+                !sem.try_acquire()
+            } else {
+                notified
+            });
+            released.store(r, Ordering::SeqCst);
+            let _ = vp.unblock(waiter_tid);
+        }
+        let woken = waiter.join().expect("waiter failed");
+        assert_eq!(woken.len(), delivered.len());
+        for (r, (w, d)) in woken.iter().zip(&delivered).enumerate() {
+            assert_eq!(
+                w,
+                d,
+                "round {}: the wait reported woken={w}, the waker delivered={d}",
+                r + 1
+            );
+        }
+        assert_eq!(sem.available(), 0);
+        assert_eq!(vp2.armed_timers(), 0);
+    })
+    .unwrap();
+}
+
+#[test]
+fn condvar_notify_at_deadline_races_are_exact() {
+    timed_wake_race(vp(), 200, false);
+    timed_wake_race(mvp(4), 200, false);
+}
+
+#[test]
+fn semaphore_release_at_deadline_races_are_exact() {
+    timed_wake_race(vp(), 200, true);
+    timed_wake_race(mvp(4), 200, true);
+}
+
+#[test]
+fn cancelling_a_timed_waiter_disarms_its_timer() {
+    use std::time::{Duration, Instant};
+    let vp = vp();
+    let vp2 = Arc::clone(&vp);
+    vp.run(move |vp| {
+        let m = UltMutex::new(&vp2, ());
+        let cv = UltCondvar::new(&vp2);
+        let sem = UltSemaphore::new(&vp2, 0);
+        let (m2, cv2, sem2) = (Arc::clone(&m), Arc::clone(&cv), Arc::clone(&sem));
+        let waiters = [
+            vp.spawn(SpawnAttr::new(), move |_| {
+                let g = m2.lock().unwrap();
+                let _ = cv2.wait_timeout(g, Duration::from_secs(30));
+            }),
+            vp.spawn(SpawnAttr::new(), move |_| {
+                let _ = sem2.acquire_timeout(Duration::from_secs(30));
+            }),
+            vp.spawn(SpawnAttr::new(), |vp| {
+                vp.block_until(Instant::now() + Duration::from_secs(30));
+            }),
+        ];
+        while waiters
+            .iter()
+            .any(|w| vp.thread_info(w.tid()).unwrap().state != crate::ThreadState::Blocked)
+        {
+            vp.yield_now();
+        }
+        assert_eq!(vp.armed_timers(), 3);
+        for w in waiters {
+            vp.cancel(w.tid()).unwrap();
+            assert!(matches!(w.join(), Err(JoinError::Cancelled)));
+        }
+        assert_eq!(
+            vp.armed_timers(),
+            0,
+            "a cancelled timed waiter left its timer armed"
+        );
     })
     .unwrap();
 }

@@ -29,13 +29,22 @@
 //! gate is never contended, the one lane is "all lanes", and no candidate
 //! is ever deferred by the steal-safety check, so counter streams are
 //! bit-identical to the pre-multi-VP scheduler.
+//!
+//! # Timed blocking
+//!
+//! [`Vp::block_until`] parks a thread off the run path with a deadline.
+//! Each VP keeps one deadline set; whichever lane reaches a schedule
+//! point (including an idle spin) after a deadline passes fires it. A
+//! timed wait therefore costs no switches while it waits, and a VP whose
+//! only threads are in timed waits is *idle* — its idle hooks run.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Once};
+use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
@@ -45,7 +54,7 @@ use crate::current::{self, UltContext};
 use crate::error::{JoinError, UltError};
 use crate::hooks::{DispatchDecision, HookRef, PendingPoll};
 use crate::stats::VpStats;
-use crate::tcb::{Outcome, Phase, Tcb, Tid, MAIN_TID};
+use crate::tcb::{Lifecycle, Outcome, Phase, Tcb, Tid, MAIN_TID};
 
 /// Panic payload used to unwind a cancelled thread (cf.
 /// `pthread_chanter_cancel`). Recognized and silenced by our panic hook.
@@ -161,6 +170,12 @@ pub struct Vp {
     idle_workers: AtomicUsize,
     /// Ensures exactly one lane reports a detected deadlock.
     deadlock_reported: AtomicBool,
+    /// Deadlines of threads parked in [`Vp::block_until`], earliest
+    /// first. Lock order: a TCB's `life` before `timers`.
+    timers: Mutex<BTreeMap<(Instant, Tid), Arc<Tcb>>>,
+    /// `timers.len()`, readable without the lock: the schedule-point
+    /// check when no timer is armed is this one relaxed load.
+    armed: AtomicUsize,
     stats: VpStats,
     /// Trace lane + cached histogram handles; `None` when no tracer was
     /// installed at construction time.
@@ -214,6 +229,8 @@ impl Vp {
             hook_gate: Mutex::new(()),
             idle_workers: AtomicUsize::new(0),
             deadlock_reported: AtomicBool::new(false),
+            timers: Mutex::new(BTreeMap::new()),
+            armed: AtomicUsize::new(0),
             stats: VpStats::default(),
             #[cfg(feature = "trace")]
             obs,
@@ -465,19 +482,46 @@ impl Vp {
     /// [`Vp::unblock`] for it. A wakeup that raced ahead of the block (the
     /// "token" case) is consumed instead of blocking. Cancellation point.
     pub fn block(self: &Arc<Vp>) {
+        self.park(None);
+    }
+
+    /// [`Vp::block`] with a deadline: additionally returns once
+    /// `deadline` has passed (immediately if it already has). The thread
+    /// is off the run path while it waits — the VP's timer, fired at
+    /// schedule points, makes it ready — so a timed wait costs no
+    /// context switches and leaves the VP idle. Like `block`, it may
+    /// return spuriously: callers re-check their condition and the
+    /// clock. The timer wakes only the block it was armed by and never
+    /// leaves a wakeup token. Cancellation point.
+    pub fn block_until(self: &Arc<Vp>, deadline: Instant) {
+        self.park(Some(deadline));
+    }
+
+    fn park(self: &Arc<Vp>, deadline: Option<Instant>) {
         let me = self.current_tcb();
         self.testcancel_tcb(&me);
         {
             // The `life` lock orders this decision against `unblock`: an
             // unblocker either sets the token while we hold `life` here
             // (we consume it and return), or observes phase == Blocked
-            // and requeues us.
+            // and requeues us. The timer is armed in the same critical
+            // section that publishes Blocked, so it can only ever find
+            // this thread parked, never about to park.
             let mut life = me.life.lock();
             if me.cancel_requested.load(Ordering::Relaxed) {
                 return; // re-checked below; don't sleep through a cancel
             }
             if std::mem::take(&mut *me.wake_token.lock()) {
                 return; // consume a pending wakeup token
+            }
+            if let Some(d) = deadline {
+                if Instant::now() >= d {
+                    return;
+                }
+                life.timer = Some(d);
+                let mut timers = self.timers.lock();
+                timers.insert((d, me.id), Arc::clone(&me));
+                self.armed.store(timers.len(), Ordering::Relaxed);
             }
             // Stamp before publishing Blocked so an unblocker racing in
             // right after the lock drops reads a fresh timestamp.
@@ -497,7 +541,56 @@ impl Vp {
             Some(&me),
             Departure::Block,
         );
+        if let Some(d) = deadline {
+            // Disarm before any cancel unwind below. Clearing `timer`
+            // first turns a fire already in flight into a no-op.
+            me.life.lock().timer = None;
+            let mut timers = self.timers.lock();
+            timers.remove(&(d, me.id));
+            self.armed.store(timers.len(), Ordering::Relaxed);
+        }
         self.testcancel_tcb(&me);
+    }
+
+    /// Fire every expired timer: make its thread ready if it is still
+    /// parked in the `block_until` that armed it. One relaxed load when
+    /// nothing is armed.
+    fn fire_timers(&self) {
+        if self.armed.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        let now = Instant::now();
+        let due = {
+            let mut timers = self.timers.lock();
+            if timers.first_key_value().is_none_or(|(&(d, _), _)| d > now) {
+                return;
+            }
+            let later = timers.split_off(&(now, Tid::MAX));
+            self.armed.store(later.len(), Ordering::Relaxed);
+            std::mem::replace(&mut *timers, later)
+        };
+        for ((deadline, _), tcb) in due {
+            let mut life = tcb.life.lock();
+            if life.phase == Phase::Blocked && life.timer == Some(deadline) {
+                life.timer = None;
+                self.make_ready(&tcb, life);
+            }
+        }
+    }
+
+    /// Number of timers currently armed by threads in
+    /// [`Vp::block_until`].
+    pub fn armed_timers(&self) -> usize {
+        self.armed.load(Ordering::Relaxed)
+    }
+
+    /// Drop the calling thread's pending wakeup token, if any. For sync
+    /// primitives that have just seen, under their own lock, that the
+    /// waker which removed them from a wait queue has already run: its
+    /// `unblock` is accounted for, and a token it left would only wake
+    /// the thread's next, unrelated block.
+    pub(crate) fn discard_wake_token(self: &Arc<Vp>) {
+        *self.current_tcb().wake_token.lock() = false;
     }
 
     /// Make a blocked thread ready again. If the target is not currently
@@ -511,21 +604,9 @@ impl Vp {
             .get(&tid)
             .cloned()
             .ok_or(UltError::NoSuchThread(tid))?;
-        let mut life = tcb.life.lock();
+        let life = tcb.life.lock();
         match life.phase {
-            Phase::Blocked => {
-                life.phase = Phase::Ready;
-                drop(life);
-                self.push_home(&tcb);
-                VpStats::bump(&self.stats.unblocks);
-                #[cfg(feature = "trace")]
-                if let Some(o) = &self.obs {
-                    let now = o.lane.now_ns();
-                    o.blocked_ns
-                        .record(now.saturating_sub(tcb.blocked_at_ns.load(Ordering::Relaxed)));
-                    o.lane.emit_at(now, chant_obs::Event::Unblock { thread: tid });
-                }
-            }
+            Phase::Blocked => self.make_ready(&tcb, life),
             Phase::Done => {}
             _ => {
                 // Token set under `life`, pairing with `block`'s
@@ -535,6 +616,23 @@ impl Vp {
             }
         }
         Ok(())
+    }
+
+    /// Move a Blocked thread (whose `life` lock the caller holds) back
+    /// to its home lane's ready queue.
+    fn make_ready(&self, tcb: &Tcb, mut life: parking_lot::MutexGuard<'_, Lifecycle>) {
+        life.phase = Phase::Ready;
+        drop(life);
+        self.push_home(tcb);
+        VpStats::bump(&self.stats.unblocks);
+        #[cfg(feature = "trace")]
+        if let Some(o) = &self.obs {
+            let now = o.lane.now_ns();
+            o.blocked_ns
+                .record(now.saturating_sub(tcb.blocked_at_ns.load(Ordering::Relaxed)));
+            o.lane
+                .emit_at(now, chant_obs::Event::Unblock { thread: tcb.id });
+        }
     }
 
     /// Store a pending poll request in the calling thread's TCB (the PS
@@ -741,6 +839,7 @@ impl Vp {
             VpStats::bump(&self.stats.schedule_points);
             #[cfg(feature = "trace")]
             let sched_start_ns = self.obs.as_ref().map(|o| o.lane.now_ns());
+            self.fire_timers();
             let hooks = self.hooks_snapshot();
             if !hooks.is_empty() {
                 // Gate-serialized across lanes; skip if another lane's
@@ -897,7 +996,12 @@ impl Vp {
                     o.emit(chant_obs::Event::Idle);
                 }
             }
-            if hooks.is_empty() && empty_rounds > self.cfg.deadlock_spin_limit {
+            // An armed timer is an event that will make a thread ready,
+            // just as a hook might: not a deadlock.
+            if hooks.is_empty()
+                && self.armed.load(Ordering::Relaxed) == 0
+                && empty_rounds > self.cfg.deadlock_spin_limit
+            {
                 // Before declaring deadlock, confirm the whole VP is
                 // wedged: with several lanes, *this* lane's queue running
                 // dry for a long time only means the work lives elsewhere.

@@ -8,12 +8,18 @@
 //! wakeup, examining the doomed entry, or running the canceller. Seeds
 //! (default 1/7/42, overridable with `CHANT_VPS_SEED`) vary the amount
 //! of unrelated steal pressure so CI sweeps different interleavings.
+//!
+//! The timed-wait scenarios run on a Chant node's VP under each polling
+//! policy at 1 and 4 lanes, with the waiters homed off the main thread's
+//! lane: the VP timer is fired by whichever lane reaches a schedule
+//! point first, so at 4 lanes it routinely wakes a thread whose home is
+//! another lane.
 
 mod common;
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use chant::chant::{ChantCluster, ChantError, ChanterId, PollingPolicy, RecvSrc};
 use chant::ult::{
@@ -111,6 +117,97 @@ fn cancelled_semaphore_waiter_is_skipped_with_lanes_stealing() {
         })
         .unwrap();
     }
+}
+
+/// One Chant node per (policy, lane count, seed), handing `scenario`
+/// the node's VP with steal pressure already queued.
+fn on_each_policy_and_lane_count(scenario: fn(&Arc<Vp>, u64)) {
+    for vps in [1, 4] {
+        for policy in [
+            PollingPolicy::ThreadPolls,
+            PollingPolicy::SchedulerPollsWq,
+            PollingPolicy::SchedulerPollsPs,
+        ] {
+            for seed in seeds() {
+                let cluster = ChantCluster::builder().pes(1).policy(policy).vps(vps).build();
+                cluster.run(move |node| {
+                    let vp = node.vp();
+                    steal_pressure(vp, seed, 8);
+                    scenario(vp, seed);
+                    assert_eq!(vp.armed_timers(), 0, "[{policy:?}/{vps} lanes] seed {seed}");
+                });
+            }
+        }
+    }
+}
+
+/// Yield until every listed thread is parked.
+fn until_blocked(vp: &Arc<Vp>, tids: &[u32]) {
+    while tids
+        .iter()
+        .any(|&t| vp.thread_info(t).unwrap().state != ThreadState::Blocked)
+    {
+        vp.yield_now();
+    }
+}
+
+#[test]
+fn timed_condvar_waits_with_lanes_stealing_under_each_policy() {
+    on_each_policy_and_lane_count(|vp, seed| {
+        let m = UltMutex::new(vp, false);
+        let cv = UltCondvar::new(vp);
+        let waiter = |lane: usize, timeout: Duration| {
+            let (m, cv) = (Arc::clone(&m), Arc::clone(&cv));
+            vp.spawn(SpawnAttr::new().affinity(lane), move |_| {
+                let started = Instant::now();
+                let g = m.lock().unwrap();
+                let (g, timed_out) = cv.wait_timeout(g, timeout).unwrap();
+                (timed_out, *g, started.elapsed())
+            })
+        };
+        // Times out: nobody notifies within 10 ms.
+        let lonely = waiter(1, Duration::from_millis(10));
+        let (timed_out, _, waited) = lonely.join().unwrap();
+        assert!(timed_out, "seed {seed}");
+        assert!(waited >= Duration::from_millis(10), "seed {seed}: woke early ({waited:?})");
+        // A cancelled timed waiter is skipped; the notification reaches
+        // the live one queued behind it.
+        let doomed = waiter(2, Duration::from_secs(30));
+        until_blocked(vp, &[doomed.tid()]);
+        let live = waiter(3, Duration::from_secs(30));
+        until_blocked(vp, &[live.tid()]);
+        vp.cancel(doomed.tid()).unwrap();
+        *m.lock().unwrap() = true;
+        assert!(cv.notify_one(), "seed {seed}: the live waiter was not woken");
+        let (timed_out, flag, _) = live.join().unwrap();
+        assert!(!timed_out && flag, "seed {seed}");
+        assert!(matches!(doomed.join(), Err(JoinError::Cancelled)));
+    });
+}
+
+#[test]
+fn timed_semaphore_waits_with_lanes_stealing_under_each_policy() {
+    on_each_policy_and_lane_count(|vp, seed| {
+        let sem = UltSemaphore::new(vp, 0);
+        let acquirer = |lane: usize, timeout: Duration| {
+            let sem = Arc::clone(&sem);
+            vp.spawn(SpawnAttr::new().affinity(lane), move |_| {
+                sem.acquire_timeout(timeout).unwrap()
+            })
+        };
+        // Times out: no permit is released within 10 ms.
+        assert!(!acquirer(1, Duration::from_millis(10)).join().unwrap(), "seed {seed}");
+        // The permit released after a timed waiter is cancelled must
+        // reach the survivor.
+        let victim = acquirer(2, Duration::from_secs(30));
+        let survivor = acquirer(3, Duration::from_secs(30));
+        until_blocked(vp, &[victim.tid(), survivor.tid()]);
+        vp.cancel(victim.tid()).unwrap();
+        assert!(matches!(victim.join(), Err(JoinError::Cancelled)));
+        sem.release();
+        assert!(survivor.join().unwrap(), "seed {seed}: the released permit was lost");
+        assert_eq!(sem.available(), 0);
+    });
 }
 
 // A chanter blocked in a policy-specific receive wait is cancelled;
