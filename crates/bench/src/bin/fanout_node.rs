@@ -23,7 +23,7 @@
 //! (snapshot path, default `bench_results/BENCH_PR9.json`).
 //!
 //! Run by hand from the repo root (one line per rank, same ports):
-//! `CHANT_TRANSPORT=tcp CHANT_RANK=<r> CHANT_PEERS=127.0.0.1:7301,… \
+//! `CHANT_TRANSPORT=tcp-event CHANT_RANK=<r> CHANT_PEERS=127.0.0.1:7301,… \
 //!  cargo run --release -p chant-bench --bin fanout_node`
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -169,11 +169,11 @@ struct Snapshot {
 fn main() {
     let transport = TransportConfig::from_env();
     let (rank, pes) = match &transport {
-        TransportConfig::Tcp(opts) | TransportConfig::TcpEvent(opts) => (
+        TransportConfig::TcpEvent(opts) => (
             opts.rank.expect("fanout_node needs CHANT_RANK"),
             opts.peers.len() as u32,
         ),
-        _ => panic!("fanout_node needs CHANT_TRANSPORT=tcp|tcp-event and CHANT_PEERS"),
+        _ => panic!("fanout_node needs CHANT_TRANSPORT=tcp-event and CHANT_PEERS"),
     };
     assert!(pes >= 2, "fanout_node needs at least two peers");
     assert_eq!(

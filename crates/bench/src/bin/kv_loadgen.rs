@@ -6,7 +6,7 @@
 //! * **Driver** (the default): for each backend in `CHANT_KV_BACKENDS`
 //!   it launches a fresh KV cluster of worker processes — one child
 //!   hosting all PEs for `inproc`, one child per PE over real loopback
-//!   sockets for `tcp` / `tcp-event` — waits for them, collects the
+//!   sockets for `tcp-event` — waits for them, collects the
 //!   per-backend result part rank 0 wrote, and assembles the combined
 //!   snapshot.
 //! * **Worker** (`CHANT_KV_WORKER=1`): runs its rank(s) of the cluster.
@@ -24,7 +24,7 @@
 //! exactly-once invariant, checked after ~10⁶ live ops.
 //!
 //! Knobs (defaults in parentheses): `CHANT_KV_BACKENDS`
-//! (`inproc,tcp,tcp-event`), `CHANT_KV_OPS` per workload (250 000),
+//! (`inproc,tcp-event`), `CHANT_KV_OPS` per workload (250 000),
 //! `CHANT_KV_WORKLOADS` (`a,b,c,a-uniform`), `CHANT_KV_KEYS` (50 000),
 //! `CHANT_KV_VAL` value bytes (100), `CHANT_KV_CLIENTS` per rank (4),
 //! `CHANT_KV_PES` (4), `CHANT_KV_SEED` (42), `CHANT_KV_OUT`
@@ -183,7 +183,7 @@ fn run_backend(backend: &str, pes: u32, deadline: Instant) -> String {
 }
 
 fn run_driver() {
-    let backends = env_str("CHANT_KV_BACKENDS", "inproc,tcp,tcp-event");
+    let backends = env_str("CHANT_KV_BACKENDS", "inproc,tcp-event");
     let pes = env_u64("CHANT_KV_PES", 4) as u32;
     let ops = env_u64("CHANT_KV_OPS", 250_000);
     let keys = env_u64("CHANT_KV_KEYS", 50_000);
@@ -334,7 +334,7 @@ fn run_worker() {
     let pes = env_u64("CHANT_KV_PES", 4) as u32;
     let multi_process = matches!(
         &transport,
-        TransportConfig::Tcp(o) | TransportConfig::TcpEvent(o) if o.rank.is_some()
+        TransportConfig::TcpEvent(o) if o.rank.is_some()
     );
     let my_rank: u32 = std::env::var("CHANT_RANK").ok().and_then(|s| s.parse().ok()).unwrap_or(0);
 

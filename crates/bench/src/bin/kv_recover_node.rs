@@ -6,7 +6,7 @@
 //! exactly-once application across a real process death.
 //!
 //! Spawned four times over TCP with the standard rank/port bootstrap
-//! (`CHANT_TRANSPORT=tcp|tcp-event`, `CHANT_RANK`, `CHANT_PEERS`).
+//! (`CHANT_TRANSPORT=tcp-event`, `CHANT_RANK`, `CHANT_PEERS`).
 //! Phases:
 //!
 //! 1. Every rank seeds a deterministic data set (keys above the inline
@@ -191,8 +191,8 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .expect("kv_recover_node needs CHANT_RANK");
     let pes = match &transport {
-        TransportConfig::Tcp(o) | TransportConfig::TcpEvent(o) => o.peers.len() as u32,
-        _ => panic!("kv_recover_node needs CHANT_TRANSPORT=tcp|tcp-event"),
+        TransportConfig::TcpEvent(o) => o.peers.len() as u32,
+        _ => panic!("kv_recover_node needs CHANT_TRANSPORT=tcp-event"),
     };
     assert!(pes >= 3, "recovery needs surviving replicas");
     let phase2 = env_u64("CHANT_KV_PHASE", 1) == 2;

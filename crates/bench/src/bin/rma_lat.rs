@@ -1,5 +1,6 @@
 //! One-sided operation latency: get/put round-trip times, in-process
-//! vs TCP loopback, dumped to `bench_results/BENCH_PR5.json`.
+//! vs TCP loopback (`tcp-event`, Linux), dumped to
+//! `bench_results/BENCH_PR5.json`.
 //!
 //! Every RMA op is a full RSR round trip (request to the target's
 //! server thread, reply to the issuing thread's posted receive), so
@@ -8,8 +9,8 @@
 //! snapshot across commits to catch RMA-path regressions.
 //!
 //! The measurement body lives in [`chant_bench::latency`], shared with
-//! `xport_scale` (which refreshes the same medians — plus the
-//! event-loop backend — into `BENCH_PR6.json`).
+//! `xport_scale` (which refreshes the same medians into
+//! `BENCH_PR6.json`).
 
 use serde::Serialize;
 
@@ -35,10 +36,12 @@ fn main() {
     const WARMUP: usize = 200;
     let mut benches = Vec::new();
 
-    for (tname, transport) in [
-        ("inproc", TransportConfig::InProcess),
-        ("tcp", TransportConfig::tcp_loopback()),
-    ] {
+    let mut backends = vec![("inproc", TransportConfig::InProcess)];
+    // The socket backend is Linux-only (epoll).
+    if cfg!(target_os = "linux") {
+        backends.push(("tcp-event", TransportConfig::tcp_event_loopback()));
+    }
+    for (tname, transport) in backends {
         for (op, median_ns) in rma_standard_medians(transport, N, WARMUP) {
             benches.push(BenchLine {
                 id: format!("rma/{tname}/{op}"),

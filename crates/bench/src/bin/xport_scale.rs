@@ -1,21 +1,20 @@
-//! Transport scalability: N-peer loopback fan-out per backend, dumped
-//! to `bench_results/BENCH_PR6.json`.
+//! Transport scalability: N-peer loopback fan-out on the socket
+//! backend, dumped to `bench_results/BENCH_PR6.json`.
 //!
-//! The thread-per-connection backend spends one OS thread per inbound
-//! connection, so its resource bill grows linearly with the peer count;
-//! the event-loop backend multiplexes every connection onto a single
-//! poller thread. This bench makes that difference measurable: a world
-//! of N PEs on one loopback transport, PE 0 fanning messages out
-//! round-robin to the other N−1, recording throughput plus the
-//! process's open-socket-fd and OS-thread counts while the world is up
-//! (threads are reported as the delta over the pre-world baseline, so
-//! the number is the transport's own bill).
+//! The event-loop backend multiplexes every connection onto a single
+//! poller thread, so its resource bill should stay flat as the peer
+//! count grows. This bench makes that measurable: a world of N PEs on
+//! one loopback transport, PE 0 fanning messages out round-robin to the
+//! other N−1, recording throughput plus the process's open-socket-fd
+//! and OS-thread counts while the world is up (threads are reported as
+//! the delta over the pre-world baseline, so the number is the
+//! transport's own bill).
 //!
 //! The snapshot also refreshes the `xport_lat` ping-pong medians (with
 //! the raw kernel floor they are judged against — see
 //! [`chant_bench::latency::raw_tcp_floor_ns`]) and the `rma_lat`
-//! one-sided medians, now including the event-loop backend, so
-//! `BENCH_PR6.json` is a complete before/after record for the PR.
+//! one-sided medians, so `BENCH_PR6.json` is one record of the socket
+//! path's latency and scale.
 //!
 //! Run with: `cargo run --release -p chant-bench --bin xport_scale`
 
@@ -125,9 +124,8 @@ fn fan_out(backend: &'static str, config: TransportConfig, peers: u32) -> ScaleL
     let payload = Bytes::from_static(&[0xA5u8; 32]);
     let progress = world.progress_fn();
 
-    // Warm: one message per peer, so every connection is dialed (and,
-    // on the legacy backend, every drain thread spawned) before the
-    // clock starts.
+    // Warm: one message per peer, so every connection is dialed before
+    // the clock starts.
     for pe in 1..peers {
         e0.isend(Address::new(pe, 0), 1, 0, kind::DATA, payload.clone());
     }
@@ -168,13 +166,11 @@ fn main() {
     let mut benches = Vec::new();
     let mut scale = Vec::new();
 
+    // The socket backend is Linux-only (epoll).
     let socket_backends: &[Backend] = if cfg!(target_os = "linux") {
-        &[
-            ("tcp", TransportConfig::tcp_loopback),
-            ("tcp-event", TransportConfig::tcp_event_loopback),
-        ]
+        &[("tcp-event", TransportConfig::tcp_event_loopback)]
     } else {
-        &[("tcp", TransportConfig::tcp_loopback)]
+        &[]
     };
 
     // Ping-pong medians plus the raw kernel floor they sit on.

@@ -2,7 +2,7 @@
 //!
 //! Spawned N times by `tests/xproc.rs` (and usable by hand — see
 //! EXPERIMENTS.md) with the standard rank/port bootstrap environment:
-//! `CHANT_TRANSPORT=tcp` (or `tcp-event` for the event-loop backend),
+//! `CHANT_TRANSPORT=tcp-event`,
 //! `CHANT_RANK=<pe>`, `CHANT_PEERS=host:port,…`.
 //! Every process builds the *same* cluster and calls `run` with the
 //! same main; the transport config makes each one host only its own
@@ -69,11 +69,11 @@ fn open_socket_fds() -> Option<Vec<String>> {
 fn main() {
     let transport = TransportConfig::from_env();
     let (rank, pes) = match &transport {
-        TransportConfig::Tcp(opts) | TransportConfig::TcpEvent(opts) => (
+        TransportConfig::TcpEvent(opts) => (
             opts.rank.expect("xproc_node needs CHANT_RANK"),
             opts.peers.len() as u32,
         ),
-        _ => panic!("xproc_node needs CHANT_TRANSPORT=tcp|tcp-event and CHANT_PEERS"),
+        _ => panic!("xproc_node needs CHANT_TRANSPORT=tcp-event and CHANT_PEERS"),
     };
     assert!(pes >= 2, "xproc_node needs at least two peers");
     let ops = env_u64("CHANT_XPROC_OPS", 250) as u32;

@@ -39,7 +39,7 @@ fn spawn_cluster(ports: &[u16], out: &std::path::Path) -> Vec<Child> {
     (0..NODES)
         .map(|rank| {
             Command::new(env!("CARGO_BIN_EXE_fanout_node"))
-                .env("CHANT_TRANSPORT", "tcp")
+                .env("CHANT_TRANSPORT", "tcp-event")
                 .env("CHANT_RANK", rank.to_string())
                 .env("CHANT_PEERS", &peers)
                 .env("CHANT_FANOUT_SUBS", SUBS.to_string())

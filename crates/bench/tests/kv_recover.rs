@@ -43,7 +43,7 @@ fn spawn_rank(
     phase2: bool,
 ) -> Child {
     let mut c = Command::new(env!("CARGO_BIN_EXE_kv_recover_node"));
-    c.env("CHANT_TRANSPORT", "tcp")
+    c.env("CHANT_TRANSPORT", "tcp-event")
         .env("CHANT_RANK", rank.to_string())
         .env("CHANT_PEERS", peers)
         .env("CHANT_KV_POLICY", policy)

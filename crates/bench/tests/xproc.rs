@@ -32,7 +32,6 @@ fn free_ports(n: usize) -> Vec<u16> {
 
 fn spawn_cluster(
     ports: &[u16],
-    backend: &str,
     per_rank_env: impl Fn(usize) -> Vec<(String, String)>,
 ) -> Vec<Child> {
     let peers = ports
@@ -44,7 +43,7 @@ fn spawn_cluster(
     (0..NODES)
         .map(|rank| {
             let mut cmd = Command::new(env!("CARGO_BIN_EXE_xproc_node"));
-            cmd.env("CHANT_TRANSPORT", backend)
+            cmd.env("CHANT_TRANSPORT", "tcp-event")
                 .env("CHANT_RANK", rank.to_string())
                 .env("CHANT_PEERS", &peers)
                 .env("CHANT_FAULT_SEED", &seed)
@@ -98,9 +97,9 @@ fn join_all(mut children: Vec<Child>) -> Vec<(bool, String, String)> {
         .collect()
 }
 
-fn run_once(backend: &str) -> Result<(), String> {
+fn run_once() -> Result<(), String> {
     let ports = free_ports(NODES);
-    let children = spawn_cluster(&ports, backend, |_| Vec::new());
+    let children = spawn_cluster(&ports, |_| Vec::new());
     let results = join_all(children);
     for (rank, (ok, out, err)) in results.iter().enumerate() {
         if !ok {
@@ -118,13 +117,17 @@ fn run_once(backend: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Each process runs one poller thread for all its connections, and the
+/// per-rank fd-leak assertion in `xproc_node` also covers the epoll and
+/// eventfd descriptors.
+#[cfg(target_os = "linux")]
 #[test]
-fn four_process_tcp_cluster_runs_lossy_workload_exactly_once() {
+fn four_process_tcp_event_cluster_runs_lossy_workload_exactly_once() {
     // One retry covers the (rare) case of a reserved port being raced
     // away between release and the child's bind.
-    if let Err(first) = run_once("tcp") {
+    if let Err(first) = run_once() {
         eprintln!("first attempt failed, retrying once:\n{first}");
-        run_once("tcp").expect("cross-process cluster failed twice");
+        run_once().expect("cross-process cluster failed twice");
     }
 }
 
@@ -134,7 +137,7 @@ fn four_process_tcp_cluster_runs_lossy_workload_exactly_once() {
 /// cross-process RSR interaction appears as a send span flow-arrowed to
 /// its recv/serve span with non-negative wire gaps after alignment, and
 /// that the lossy shim's retries show up as first-class events.
-#[cfg(feature = "trace")]
+#[cfg(all(feature = "trace", target_os = "linux"))]
 mod traced {
     use super::*;
     use chant_obs::merge::{merge_cluster_trace, read_process_trace, ProcessTrace};
@@ -143,7 +146,7 @@ mod traced {
 
     fn run_traced(dir: &std::path::Path) -> Result<u64, String> {
         let ports = free_ports(NODES);
-        let children = spawn_cluster(&ports, "tcp", |rank| {
+        let children = spawn_cluster(&ports, |rank| {
             vec![(
                 "CHANT_TRACE_OUT".to_string(),
                 dir.join(format!("rank{rank}.json")).to_string_lossy().into_owned(),
@@ -255,18 +258,5 @@ mod traced {
                 && count_events(&merged, |n| n == "msg.recv") > 0,
             "wire-level msg spans missing from the merge"
         );
-    }
-}
-
-/// The same four-process lossy workload over the event-loop backend:
-/// each process runs one poller thread for all its connections, and the
-/// per-rank fd-leak assertion in `xproc_node` now also covers the epoll
-/// and eventfd descriptors.
-#[cfg(target_os = "linux")]
-#[test]
-fn four_process_tcp_event_cluster_runs_lossy_workload_exactly_once() {
-    if let Err(first) = run_once("tcp-event") {
-        eprintln!("first attempt failed, retrying once:\n{first}");
-        run_once("tcp-event").expect("cross-process tcp-event cluster failed twice");
     }
 }

@@ -16,27 +16,23 @@
 //!   regardless of how other links interleave.
 //! * **Eventual delivery.** Everything except an explicit drop is
 //!   delivered in finite time: duplicated/delayed/reordered copies go
-//!   through a background deliverer with a deadline queue and — unlike
-//!   the latency model's [`crate::LatencyModel`] line — **no per-link
-//!   FIFO floor**, so later messages genuinely overtake held ones.
+//!   through the world's link stage with a hold time and — unlike
+//!   [`crate::LatencyModel`] traffic — **no per-link FIFO floor**, so
+//!   later messages genuinely overtake held ones.
 //! * **Control-plane exemption.** Tags in `0xFF00..=0xFFFF` are reserved
 //!   for runtime control traffic (cluster shutdown barriers); faulting
 //!   those wedges teardown rather than exercising user-visible failure
 //!   paths, so DATA-kind messages in that range pass through untouched
 //!   unless [`FaultConfig::fault_control`] opts in.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::header::{Address, Header};
 use crate::stats::CommStats;
-use crate::world::WorldInner;
 
 /// First tag of the reserved control range the shim spares by default.
 pub const CONTROL_TAG_BASE: i32 = 0xFF00;
@@ -207,98 +203,46 @@ pub struct FaultStatsSnapshot {
     pub passed: u64,
 }
 
-struct HeldEntry {
-    due: Instant,
-    seq: u64,
-    header: Header,
-    body: Bytes,
-}
-
-impl PartialEq for HeldEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for HeldEntry {}
-impl PartialOrd for HeldEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeldEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
-
-struct InjectorState {
-    /// Per-link decision streams, created lazily and seeded from the
-    /// world seed and the link's coordinates (order-independent).
-    links: HashMap<(Address, Address), SplitMix64>,
-    /// Held copies awaiting their due time. No per-link FIFO floor —
-    /// that absence is what produces genuine reordering.
-    held: BinaryHeap<Reverse<HeldEntry>>,
-    seq: u64,
-    shutdown: bool,
-}
-
-/// What the shim decided for one message, returned to the router.
+/// What the shim decided for one message, returned to the link stage.
 pub(crate) enum FaultAction {
     /// Deliver now, nothing else.
     Deliver,
     /// Discard.
     Drop,
-    /// Deliver now *and* deliver the enqueued copy later.
-    DeliverAndHoldCopy,
-    /// Only the held copy will be delivered (original is the held one).
-    HoldOnly,
+    /// Deliver now *and* deliver a copy after the hold time.
+    DeliverAndHold(Duration),
+    /// Deliver only after the hold time (the original is the held one).
+    HoldOnly(Duration),
 }
 
-/// The fault shim: per-link PRNGs, the held-message queue, and the
-/// background deliverer that drains it.
-pub(crate) struct FaultInjector {
+/// The fault shim: the config, the per-link decision streams, and the
+/// tallies. Held copies are delivered by the [`crate::link`] stage.
+pub(crate) struct FaultShim {
     config: FaultConfig,
-    stats: Arc<FaultStats>,
-    state: Mutex<InjectorState>,
-    cv: Condvar,
+    stats: FaultStats,
+    /// Per-link decision streams, created lazily and seeded from the
+    /// world seed and the link's coordinates (order-independent).
+    links: Mutex<HashMap<(Address, Address), SplitMix64>>,
     /// Trace lane for annotated fault events carrying each victim's
     /// wire-level trace id; `None` when no tracer was installed.
     #[cfg(feature = "trace")]
     lane: Option<chant_obs::LaneHandle>,
 }
 
-impl FaultInjector {
-    /// Create the shim and start its deliverer thread.
-    pub fn start(config: FaultConfig, world: Weak<WorldInner>) -> Arc<FaultInjector> {
+impl FaultShim {
+    pub fn new(config: FaultConfig) -> FaultShim {
         config.validate();
-        let inj = Arc::new(FaultInjector {
+        FaultShim {
             config,
-            stats: Arc::new(FaultStats::default()),
-            state: Mutex::new(InjectorState {
-                links: HashMap::new(),
-                held: BinaryHeap::new(),
-                seq: 0,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
+            stats: FaultStats::default(),
+            links: Mutex::new(HashMap::new()),
             #[cfg(feature = "trace")]
             lane: chant_obs::tracer::register_lane("faults"),
-        });
-        let inj2 = Arc::clone(&inj);
-        std::thread::Builder::new()
-            .name("chant-comm-faults".into())
-            .spawn(move || inj2.run(world))
-            .expect("spawn fault-injector deliverer");
-        inj
+        }
     }
 
-    pub fn stats(&self) -> &Arc<FaultStats> {
+    pub fn stats(&self) -> &FaultStats {
         &self.stats
-    }
-
-    pub fn shutdown(&self) {
-        self.state.lock().shutdown = true;
-        self.cv.notify_one();
     }
 
     fn link_seed(&self, src: Address, dst: Address) -> u64 {
@@ -312,9 +256,9 @@ impl FaultInjector {
         SplitMix64::new(self.config.seed ^ mix.wrapping_mul(0xA24B_AED4_963E_E407)).next_u64()
     }
 
-    /// Decide this message's fate and enqueue any held copy. Called on
-    /// the sender's path, before synchronous delivery.
-    pub fn apply(&self, header: &Header, body: &Bytes) -> FaultAction {
+    /// Decide this message's fate. Called on the sender's path, before
+    /// any delivery.
+    pub fn apply(&self, header: &Header) -> FaultAction {
         if !self.config.fault_control
             && header.kind == crate::header::kind::DATA
             && (CONTROL_TAG_BASE..=CONTROL_TAG_END).contains(&header.tag)
@@ -322,23 +266,26 @@ impl FaultInjector {
             CommStats::bump(&self.stats.passed);
             return FaultAction::Deliver;
         }
-        let mut st = self.state.lock();
-        let link = (header.src, header.dst);
-        let seed = self.link_seed(header.src, header.dst);
-        let rng = st
-            .links
-            .entry(link)
-            .or_insert_with(|| SplitMix64::new(seed));
-        // Draw all four decisions unconditionally so the stream position
-        // does not depend on the config — same seed, same per-message
-        // randomness under any probability mix.
-        let (r_drop, r_dup, r_delay, r_reorder) = (
-            rng.next_f64(),
-            rng.next_f64(),
-            rng.next_f64(),
-            rng.next_f64(),
-        );
-        let hold = rng.next_f64();
+        let (r_drop, r_dup, r_delay, r_reorder, hold) = {
+            let mut links = self.links.lock();
+            let seed = self.link_seed(header.src, header.dst);
+            let rng = links
+                .entry((header.src, header.dst))
+                .or_insert_with(|| SplitMix64::new(seed));
+            // Draw all four decisions unconditionally so the stream
+            // position does not depend on the config — same seed, same
+            // per-message randomness under any probability mix.
+            (
+                rng.next_f64(),
+                rng.next_f64(),
+                rng.next_f64(),
+                rng.next_f64(),
+                rng.next_f64(),
+            )
+        };
+        let hold_for = |(lo, hi): (u64, u64)| {
+            Duration::from_nanos(lo + ((hi.saturating_sub(lo) + 1) as f64 * hold) as u64)
+        };
 
         if r_drop < self.config.drop_p {
             CommStats::bump(&self.stats.dropped);
@@ -348,43 +295,20 @@ impl FaultInjector {
         if r_dup < self.config.dup_p {
             CommStats::bump(&self.stats.duplicated);
             self.emit(FaultKind::Duplicated, header);
-            let (lo, hi) = self.config.dup_delay_ns;
-            let ns = lo + ((hi.saturating_sub(lo) + 1) as f64 * hold) as u64;
-            Self::enqueue(&mut st, Instant::now() + Duration::from_nanos(ns), header, body);
-            self.cv.notify_one();
-            return FaultAction::DeliverAndHoldCopy;
+            return FaultAction::DeliverAndHold(hold_for(self.config.dup_delay_ns));
         }
         if r_delay < self.config.delay_p {
             CommStats::bump(&self.stats.delayed);
             self.emit(FaultKind::Delayed, header);
-            let (lo, hi) = self.config.delay_ns;
-            let ns = lo + ((hi.saturating_sub(lo) + 1) as f64 * hold) as u64;
-            Self::enqueue(&mut st, Instant::now() + Duration::from_nanos(ns), header, body);
-            self.cv.notify_one();
-            return FaultAction::HoldOnly;
+            return FaultAction::HoldOnly(hold_for(self.config.delay_ns));
         }
         if r_reorder < self.config.reorder_p {
             CommStats::bump(&self.stats.reordered);
             self.emit(FaultKind::Reordered, header);
-            let (lo, hi) = self.config.reorder_delay_ns;
-            let ns = lo + ((hi.saturating_sub(lo) + 1) as f64 * hold) as u64;
-            Self::enqueue(&mut st, Instant::now() + Duration::from_nanos(ns), header, body);
-            self.cv.notify_one();
-            return FaultAction::HoldOnly;
+            return FaultAction::HoldOnly(hold_for(self.config.reorder_delay_ns));
         }
         CommStats::bump(&self.stats.passed);
         FaultAction::Deliver
-    }
-
-    fn enqueue(st: &mut InjectorState, due: Instant, header: &Header, body: &Bytes) {
-        st.seq += 1;
-        let seq = st.seq;
-        st.held.push(Reverse(HeldEntry {
-            due,
-            seq,
-            header: *header,
-            body: body.clone(),
-        }));
     }
 
     #[cfg(feature = "trace")]
@@ -407,40 +331,6 @@ impl FaultInjector {
 
     #[cfg(not(feature = "trace"))]
     fn emit(&self, _kind: FaultKind, _header: &Header) {}
-
-    /// Background deliverer: drains held copies at their due times,
-    /// guaranteeing eventual delivery of everything not dropped.
-    fn run(&self, world: Weak<WorldInner>) {
-        loop {
-            let entry = {
-                let mut st = self.state.lock();
-                loop {
-                    if st.shutdown {
-                        return;
-                    }
-                    let now = Instant::now();
-                    match st.held.peek() {
-                        Some(Reverse(e)) if e.due <= now => {
-                            break st.held.pop().expect("peeked entry").0;
-                        }
-                        Some(Reverse(e)) => {
-                            let wait = e.due - now;
-                            self.cv.wait_for(&mut st, wait);
-                        }
-                        None => {
-                            self.cv.wait(&mut st);
-                        }
-                    }
-                }
-            };
-            match world.upgrade() {
-                // Through the transport: a duplicated or delayed copy on
-                // a TCP world must cross the socket like the original.
-                Some(w) => w.transport_send(entry.header, entry.body),
-                None => return,
-            }
-        }
-    }
 }
 
 enum FaultKind {

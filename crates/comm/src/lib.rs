@@ -43,12 +43,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod delay;
 mod endpoint;
 mod fault;
 mod guard;
 mod handle;
 mod header;
+mod link;
 #[cfg(feature = "trace")]
 mod obs;
 mod profile;
@@ -57,7 +57,7 @@ mod testany;
 mod transport;
 mod world;
 
-pub use delay::LatencyModel;
+pub use link::LatencyModel;
 pub use endpoint::Endpoint;
 pub use fault::{FaultConfig, FaultStats, FaultStatsSnapshot, CONTROL_TAG_BASE, CONTROL_TAG_END};
 pub use guard::set_blocking_guard;

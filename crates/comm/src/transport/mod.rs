@@ -1,7 +1,7 @@
 //! Pluggable transports under the matching engine.
 //!
 //! [`crate::CommWorld`]'s routing path is a thin, swappable seam: after
-//! the fault shim and the latency line have had their say, a message is
+//! the link stage (fault shim, latency model) has had its say, a message is
 //! handed to the world's [`Transport`], which is responsible for getting
 //! the framed `(header, body)` pair to the destination endpoint's
 //! matching tables (via [`DeliverySink::deliver`]). Everything above the
@@ -15,29 +15,24 @@
 //! * **in-process** ([`TransportConfig::InProcess`], the default): the
 //!   original synchronous delivery into the destination endpoint. Zero
 //!   new cost; the paper's table reproductions run on this path.
-//! * **TCP** ([`TransportConfig::Tcp`]): length-prefixed frames
-//!   ([`encode_frame`]) over TCP sockets, with a lazy-connecting
-//!   per-peer connection manager and a drain thread per accepted
-//!   connection. In *loopback* mode all endpoints stay in one OS
-//!   process and traffic makes a real kernel round trip; in
-//!   *multi-process* mode (a rank and a peer list, usually from
-//!   [`TransportConfig::from_env`]) each OS process hosts one PE's
-//!   endpoints and a chant message genuinely crosses address spaces —
-//!   the paper's "threads that talk to threads in other address
-//!   spaces", live.
 //! * **TCP, event-loop** ([`TransportConfig::TcpEvent`], Linux only):
-//!   the same wire format and topology, but every connection is driven
-//!   by a single epoll poller thread with nonblocking sockets,
-//!   same-peer send coalescing into vectored writes, pooled frame
-//!   buffers, and an adaptive spin-then-park progress loop — the
-//!   LCI-style nonblocking progress engine. Scales to hundreds of
-//!   peers on two threads where the legacy backend needs two per peer.
+//!   length-prefixed frames ([`encode_frame`]) over TCP sockets, every
+//!   connection driven by a single epoll poller thread with nonblocking
+//!   sockets, same-peer send coalescing into vectored writes, pooled
+//!   frame buffers, and an adaptive spin-then-park progress loop — the
+//!   LCI-style nonblocking progress engine. In *loopback* mode all
+//!   endpoints stay in one OS process and traffic makes a real kernel
+//!   round trip; in *multi-process* mode (a rank and a peer list,
+//!   usually from [`TransportConfig::from_env`]) each OS process hosts
+//!   one PE's endpoints and a chant message genuinely crosses address
+//!   spaces — the paper's "threads that talk to threads in other
+//!   address spaces", live.
 
 mod frame;
+#[cfg(target_os = "linux")]
 mod pool;
 #[cfg(target_os = "linux")]
 mod sys;
-mod tcp;
 #[cfg(target_os = "linux")]
 mod tcp_event;
 
@@ -45,9 +40,7 @@ pub use frame::{
     decode_frame, encode_frame, encode_frame_into, FrameError, FRAME_HEADER_LEN, FRAME_MAGIC,
     MAX_FRAME_LEN,
 };
-pub use tcp::TcpOptions;
 
-pub(crate) use tcp::TcpTransport;
 #[cfg(target_os = "linux")]
 pub(crate) use tcp_event::TcpEventTransport;
 
@@ -70,7 +63,7 @@ use crate::world::WorldInner;
 /// the matching tables rely on). Loss is permitted only for transports
 /// that document it (the upper layers' retry/dedup machinery recovers).
 pub trait Transport: Send + Sync {
-    /// Short stable name for reports and traces (`"inproc"`, `"tcp"`).
+    /// Short stable name for reports and traces (`"inproc"`, `"tcp-event"`).
     fn name(&self) -> &'static str;
 
     /// Move one message toward its destination. May block briefly for
@@ -123,7 +116,7 @@ pub struct DeliverySink {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeliverError {
     /// The world was torn down; the message is dropped (same rule as
-    /// the latency line at shutdown).
+    /// the link stage at shutdown).
     WorldGone,
     /// The destination endpoint is not hosted by this process (a
     /// misrouted or corrupted frame in multi-process mode).
@@ -237,10 +230,47 @@ pub struct TransportStatsSnapshot {
     /// Times the parked poller was woken through the eventfd
     /// (event-loop backend; shutdown and stragglers only).
     pub wakeups: u64,
-    /// Frame buffers served from the reuse pool (socket backends).
+    /// Frame buffers served from the reuse pool (socket backend).
     pub pool_hits: u64,
     /// Frame buffers that had to be freshly allocated.
     pub pool_misses: u64,
+}
+
+/// Configuration of the event-loop TCP backend.
+#[derive(Clone, Debug)]
+pub struct TcpOptions {
+    /// This OS process's PE index, or `None` for single-process
+    /// loopback (all PEs hosted here, traffic still over sockets).
+    pub rank: Option<u32>,
+    /// Listen addresses (`host:port`), one per PE in rank order. Empty
+    /// selects loopback mode with an ephemeral port. Non-empty requires
+    /// `rank` to be set.
+    pub peers: Vec<String>,
+    /// Dial attempts for a peer never reached before (bootstrap: peers
+    /// start in parallel, so patience here is correctness).
+    pub connect_attempts: u32,
+    /// Initial backoff between dial attempts; doubles up to 500 ms.
+    pub connect_backoff_ms: u64,
+    /// Per-frame length ceiling (capped by [`MAX_FRAME_LEN`]).
+    pub max_frame_len: u32,
+    /// How long the poller keeps polling hot (zero-timeout
+    /// `epoll_wait`, yielding between polls) after the last activity
+    /// before parking in the kernel. Keeps ping-pong traffic off the
+    /// park/unpark path; 0 parks immediately.
+    pub spin_us: u64,
+}
+
+impl Default for TcpOptions {
+    fn default() -> TcpOptions {
+        TcpOptions {
+            rank: None,
+            peers: Vec::new(),
+            connect_attempts: 80,
+            connect_backoff_ms: 25,
+            max_frame_len: MAX_FRAME_LEN,
+            spin_us: 100,
+        }
+    }
 }
 
 /// Which transport a world routes through, and how it is configured.
@@ -250,26 +280,17 @@ pub enum TransportConfig {
     /// for the conformance suite).
     #[default]
     InProcess,
-    /// Length-prefixed frames over TCP sockets, one blocking drain
-    /// thread per connection (see [`TcpOptions`]).
-    Tcp(TcpOptions),
-    /// The same frames and topology, driven by a single epoll poller
-    /// thread with nonblocking sockets, send coalescing, and pooled
-    /// buffers (Linux only; see [`TcpOptions`]).
+    /// Length-prefixed frames over TCP sockets, driven by a single epoll
+    /// poller thread with nonblocking sockets, send coalescing, and
+    /// pooled buffers (Linux only; see [`TcpOptions`]).
     TcpEvent(TcpOptions),
 }
 
 impl TransportConfig {
     /// A single-process TCP world: every endpoint lives here, but every
     /// message makes a real kernel round trip through a loopback
-    /// socket. This is the configuration the conformance suite and the
-    /// fault-seed matrix run against.
-    pub fn tcp_loopback() -> TransportConfig {
-        TransportConfig::Tcp(TcpOptions::default())
-    }
-
-    /// A single-process event-loop TCP world: same loopback topology as
-    /// [`TransportConfig::tcp_loopback`], all sockets on one poller.
+    /// socket, all sockets on one poller. This is the configuration the
+    /// conformance suite and the fault-seed matrix run against.
     pub fn tcp_event_loopback() -> TransportConfig {
         TransportConfig::TcpEvent(TcpOptions::default())
     }
@@ -277,36 +298,59 @@ impl TransportConfig {
     /// Read the transport from the environment — the rank/port
     /// bootstrap shared by examples and the cross-process tests:
     ///
-    /// * `CHANT_TRANSPORT` — `tcp` selects the thread-per-peer TCP
-    ///   backend, `tcp-event` the event-loop backend; anything else
-    ///   (or unset) selects in-process.
+    /// * `CHANT_TRANSPORT` — `tcp-event` selects the socket backend;
+    ///   `inproc` (or unset) selects in-process. Any other value is a
+    ///   configuration error.
     /// * `CHANT_RANK` — this OS process's PE index (multi-process mode;
     ///   omit for single-process loopback).
     /// * `CHANT_PEERS` — comma-separated `host:port` listen addresses,
     ///   one per PE in rank order (required when `CHANT_RANK` is set).
+    ///
+    /// # Panics
+    /// Panics on an unrecognised `CHANT_TRANSPORT` value, rather than
+    /// silently running every PE in-process.
     pub fn from_env() -> TransportConfig {
-        let socket_opts = || {
-            let rank = std::env::var("CHANT_RANK").ok().and_then(|s| s.parse().ok());
-            let peers = std::env::var("CHANT_PEERS")
-                .map(|s| {
-                    s.split(',')
-                        .map(|p| p.trim().to_string())
-                        .filter(|p| !p.is_empty())
-                        .collect()
-                })
-                .unwrap_or_default();
-            TcpOptions {
-                rank,
-                peers,
-                ..TcpOptions::default()
-            }
+        let rank = std::env::var("CHANT_RANK")
+            .ok()
+            .and_then(|s| s.parse().ok());
+        let peers = std::env::var("CHANT_PEERS")
+            .map(|s| {
+                s.split(',')
+                    .map(|p| p.trim().to_string())
+                    .filter(|p| !p.is_empty())
+                    .collect()
+            })
+            .unwrap_or_default();
+        let socket = TcpOptions {
+            rank,
+            peers,
+            ..TcpOptions::default()
         };
-        match std::env::var("CHANT_TRANSPORT") {
-            Ok(v) if v.eq_ignore_ascii_case("tcp") => TransportConfig::Tcp(socket_opts()),
-            Ok(v) if v.eq_ignore_ascii_case("tcp-event") || v.eq_ignore_ascii_case("tcp_event") => {
-                TransportConfig::TcpEvent(socket_opts())
-            }
-            _ => TransportConfig::InProcess,
+        let value = std::env::var("CHANT_TRANSPORT").ok();
+        TransportConfig::parse(value.as_deref(), socket).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Select a backend by its `CHANT_TRANSPORT` name (`None` = unset):
+    /// `inproc` or nothing for in-process, `tcp-event` (or `tcp_event`,
+    /// any case) for sockets configured by `socket`. Anything else —
+    /// including the removed `tcp` backend's name — is an error naming
+    /// the accepted values.
+    fn parse(value: Option<&str>, socket: TcpOptions) -> Result<TransportConfig, String> {
+        let v = value.map(str::trim).unwrap_or_default();
+        if v.is_empty() || v.eq_ignore_ascii_case("inproc") {
+            Ok(TransportConfig::InProcess)
+        } else if v.eq_ignore_ascii_case("tcp-event") || v.eq_ignore_ascii_case("tcp_event") {
+            Ok(TransportConfig::TcpEvent(socket))
+        } else if v.eq_ignore_ascii_case("tcp") {
+            Err(
+                "CHANT_TRANSPORT=tcp: the thread-per-connection backend was removed; \
+                 use CHANT_TRANSPORT=tcp-event"
+                    .to_string(),
+            )
+        } else {
+            Err(format!(
+                "unknown CHANT_TRANSPORT value '{v}' (expected 'inproc' or 'tcp-event')"
+            ))
         }
     }
 
@@ -314,12 +358,8 @@ impl TransportConfig {
     /// one PE in multi-process mode, all of them otherwise.
     pub fn hosted_pes(&self, pes: u32) -> std::ops::Range<u32> {
         match self {
-            TransportConfig::Tcp(TcpOptions { rank: Some(r), .. })
-            | TransportConfig::TcpEvent(TcpOptions { rank: Some(r), .. }) => {
-                assert!(
-                    *r < pes,
-                    "CHANT_RANK {r} outside the world ({pes} PEs)"
-                );
+            TransportConfig::TcpEvent(TcpOptions { rank: Some(r), .. }) => {
+                assert!(*r < pes, "CHANT_RANK {r} outside the world ({pes} PEs)");
                 *r..*r + 1
             }
             _ => 0..pes,
@@ -375,8 +415,6 @@ pub(crate) fn build_transport(
     let sink = DeliverySink::new(world);
     match config {
         TransportConfig::InProcess => Arc::new(InProcessTransport::new(sink)),
-        TransportConfig::Tcp(opts) => TcpTransport::start(opts.clone(), pes, sink)
-            .unwrap_or_else(|e| panic!("failed to start TCP transport: {e}")),
         #[cfg(target_os = "linux")]
         TransportConfig::TcpEvent(opts) => TcpEventTransport::start(opts.clone(), pes, sink)
             .unwrap_or_else(|e| panic!("failed to start event-loop TCP transport: {e}")),
@@ -387,13 +425,53 @@ pub(crate) fn build_transport(
     }
 }
 
-/// Trace-gated counter shared by the socket backends (compiled out
-/// entirely without the `trace` feature).
-#[cfg(feature = "trace")]
+/// Trace-gated counter for the socket backend (compiled out entirely
+/// without the `trace` feature).
+#[cfg(all(target_os = "linux", feature = "trace"))]
 pub(crate) fn emit_counter(name: &'static str) {
     chant_obs::registry().counter(name).incr();
 }
 
-#[cfg(not(feature = "trace"))]
+#[cfg(all(target_os = "linux", not(feature = "trace")))]
 pub(crate) fn emit_counter(_name: &'static str) {}
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(v: Option<&str>) -> Result<TransportConfig, String> {
+        TransportConfig::parse(v, TcpOptions::default())
+    }
+
+    #[test]
+    fn transport_names_select_their_backend() {
+        for v in [None, Some(""), Some("inproc"), Some("INPROC")] {
+            assert!(matches!(parse(v), Ok(TransportConfig::InProcess)), "{v:?}");
+        }
+        for v in ["tcp-event", "tcp_event", "TCP-EVENT", " tcp-event "] {
+            assert!(
+                matches!(parse(Some(v)), Ok(TransportConfig::TcpEvent(_))),
+                "{v}"
+            );
+        }
+        let socket = TcpOptions {
+            rank: Some(2),
+            ..TcpOptions::default()
+        };
+        let Ok(TransportConfig::TcpEvent(o)) = TransportConfig::parse(Some("tcp-event"), socket)
+        else {
+            panic!("tcp-event must select the socket backend");
+        };
+        assert_eq!(o.rank, Some(2), "socket options must pass through");
+    }
+
+    #[test]
+    fn removed_and_unknown_transport_names_are_rejected() {
+        let err = parse(Some("tcp")).expect_err("the removed backend must not fall back");
+        assert!(err.contains("tcp-event"), "{err}");
+        for v in ["tpc-event", "mpi", "udp"] {
+            let err = parse(Some(v)).expect_err(v);
+            assert!(err.contains(v) && err.contains("tcp-event"), "{err}");
+        }
+    }
+}

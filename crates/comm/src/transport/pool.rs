@@ -1,6 +1,6 @@
-//! A small free-list of `Vec<u8>`s shared by the socket backends.
+//! A small free-list of `Vec<u8>`s for the socket backend.
 //!
-//! Both TCP backends move every message through a transient byte buffer
+//! The TCP backend moves every message through a transient byte buffer
 //! (frame encode on the way out, payload staging on the way in). At
 //! tens of thousands of messages per second, allocating and freeing
 //! that buffer per frame is measurable; recycling capacity through this

@@ -1,12 +1,17 @@
-//! The event-loop TCP backend: every connection on one poller thread.
+//! The TCP backend: length-prefixed frames between OS processes, every
+//! connection on one poller thread.
 //!
-//! The legacy [`super::tcp`] backend spends two OS threads per peer
-//! (an accept thread plus a drain thread per inbound connection) and
-//! blocks senders in `write_all`. That shape caps connection count and
-//! pays a kernel thread wakeup on every hop. This backend is the LCI
-//!-style alternative: a single poller thread drives *all* sockets
-//! through an epoll readiness loop ([`super::sys`]), senders never
-//! block, and same-peer frames coalesce into one vectored write.
+//! Topology: one listener per OS process. In **loopback** mode (no
+//! rank, no peer list) the world binds an ephemeral `127.0.0.1` port
+//! and every PE's traffic loops through it — all endpoints stay local,
+//! but each message makes a real kernel round trip through the frame
+//! codec. In **multi-process** mode (`rank` + `peers`) each process
+//! hosts one PE's endpoints, binds its own entry from the peer list,
+//! and reaches every other PE lazily through `peers[pe]`.
+//!
+//! This is the LCI-style shape: a single poller thread drives *all*
+//! sockets through an epoll readiness loop ([`super::sys`]), senders
+//! never block, and same-peer frames coalesce into one vectored write.
 //!
 //! Structure:
 //!
@@ -48,11 +53,16 @@
 //!   `epoll_ctl` directly (epoll is thread-safe); the eventfd exists
 //!   only to interrupt a parked poller at shutdown.
 //!
-//! Delivery semantics are identical to the legacy backend — per-link
-//! FIFO (one connection per destination PE, queue order preserved,
-//! single flusher under the peer lock), counted-never-panicking
-//! malformed frames, lazy patient bootstrap dial, fail-fast redial —
-//! and `tests/transport_conformance.rs` holds it to that.
+//! Delivery semantics — per-link FIFO (one connection per destination
+//! PE, queue order preserved, single flusher under the peer lock),
+//! counted-never-panicking malformed frames, lazy patient bootstrap
+//! dial, fail-fast redial — match the in-process oracle, and
+//! `tests/transport_conformance.rs` holds it to that.
+//!
+//! **No backpressure.** Senders never block, so frames toward a peer
+//! that stopped reading queue in user space without bound. Whatever is
+//! still queued when the transport shuts down is dropped and counted as
+//! `send_failures`.
 
 #![cfg(target_os = "linux")]
 
@@ -71,12 +81,15 @@ use parking_lot::Mutex;
 use super::frame::{decode_frame, encode_frame_into, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use super::pool::BufferPool;
 use super::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use super::tcp::TcpOptions;
-use super::{emit_counter, DeliverError, DeliverySink, Transport, TransportStats, TransportStatsSnapshot};
+use super::{
+    emit_counter, DeliverError, DeliverySink, TcpOptions, Transport, TransportStats,
+    TransportStatsSnapshot,
+};
 use crate::header::Header;
 
-/// Fail-fast redial budget once a peer has answered before (same rule
-/// as the legacy backend).
+/// Dial attempts for a peer we had reached before (it answered once, so
+/// a long outage means it is gone — fail fast and let retries upstairs
+/// pace themselves).
 const RECONNECT_ATTEMPTS: u32 = 2;
 
 /// Most frames one `write_vectored` call will carry.
@@ -840,6 +853,10 @@ mod tests {
     use crate::header::Address;
     use std::sync::Weak;
 
+    /// The fd-leak test counts every fd in the process, so the tests
+    /// here that open sockets run one at a time.
+    static SOCKETS: Mutex<()> = Mutex::new(());
+
     fn dangling_sink() -> DeliverySink {
         DeliverySink::new(Weak::new())
     }
@@ -867,6 +884,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_and_leaks_no_fds() {
+        let _serial = SOCKETS.lock();
         let before = open_fds();
         {
             let t = TcpEventTransport::start(TcpOptions::default(), 2, dangling_sink())
@@ -896,6 +914,7 @@ mod tests {
 
     #[test]
     fn unreachable_peer_counts_failures_without_blocking_forever() {
+        let _serial = SOCKETS.lock();
         // Reserve a port nobody listens on.
         let dead = {
             let l = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -915,5 +934,66 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(10), "dial never failed fast");
         assert!(t.stats().send_failures >= 1, "{:?}", t.stats());
         t.shutdown();
+    }
+
+    /// A peer that accepts and never reads: senders must still return
+    /// promptly (frames queue in user space — there is no kernel
+    /// backpressure on this backend), `shutdown` must finish, and every
+    /// frame still queued must surface as a counted send failure.
+    #[test]
+    fn shutdown_fails_frames_queued_toward_a_stalled_peer() {
+        let _serial = SOCKETS.lock();
+        let stall = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let stall_addr = stall.local_addr().unwrap();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let held = stall.accept().map(|(s, _)| s);
+            let _ = released.recv();
+            drop(held);
+        });
+        let opts = TcpOptions {
+            rank: Some(0),
+            peers: vec!["127.0.0.1:0".into(), stall_addr.to_string()],
+            connect_attempts: 2,
+            ..TcpOptions::default()
+        };
+        let t = TcpEventTransport::start(opts, 2, dangling_sink()).expect("start");
+
+        // Pump megabyte frames until the kernel buffers are full and the
+        // user-space queue holds the rest: frames_sent stops short of
+        // what was sent.
+        const MAX_FRAMES: u64 = 64;
+        let body = Bytes::from(vec![0u8; 1 << 20]);
+        let mut sent = 0u64;
+        while sent < MAX_FRAMES && t.stats().frames_sent == sent {
+            for _ in 0..8 {
+                let t0 = Instant::now();
+                t.send(header(1, body.len() as u32), body.clone());
+                sent += 1;
+                assert!(
+                    t0.elapsed() < Duration::from_secs(1),
+                    "send blocked on a full peer"
+                );
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        let snap = t.stats();
+        assert!(snap.frames_sent < sent, "peer never stalled: {snap:?}");
+
+        let start = Instant::now();
+        t.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "shutdown wedged behind a stalled peer"
+        );
+        let snap = t.stats();
+        assert!(snap.send_failures >= 1, "{snap:?}");
+        assert_eq!(
+            snap.frames_sent + snap.send_failures,
+            sent,
+            "every frame is either on the wire or a counted failure: {snap:?}"
+        );
+        release.send(()).unwrap();
+        peer.join().unwrap();
     }
 }

@@ -11,17 +11,18 @@
 //! the destination endpoint's matching tables — goes through the
 //! world's [`Transport`]: synchronous in-process delivery by default,
 //! or TCP sockets (possibly to other OS processes) when built with
-//! [`TransportConfig::Tcp`]. Everything upstream of that hop (fault
-//! shim, latency line, matching, statistics) is transport-agnostic.
+//! [`TransportConfig::TcpEvent`]. Everything upstream of that hop (the
+//! link stage's fault shim and latency model, matching, statistics) is
+//! transport-agnostic.
 
 use std::sync::{Arc, Once, OnceLock};
 
 use bytes::Bytes;
 
-use crate::delay::{DelayLine, LatencyModel};
 use crate::endpoint::Endpoint;
-use crate::fault::{FaultAction, FaultConfig, FaultInjector, FaultStatsSnapshot};
+use crate::fault::{FaultConfig, FaultStatsSnapshot};
 use crate::header::{Address, Header};
+use crate::link::{LatencyModel, LinkStage};
 use crate::stats::CommStatsSnapshot;
 use crate::transport::{build_transport, Transport, TransportConfig, TransportStatsSnapshot};
 
@@ -32,8 +33,9 @@ pub(crate) struct WorldInner {
     /// multi-process TCP mode, where the process boundary is the PE).
     hosted: std::ops::Range<u32>,
     endpoints: Vec<Arc<Endpoint>>,
-    delay: Option<Arc<DelayLine>>,
-    faults: Option<Arc<FaultInjector>>,
+    /// The fault shim and latency model with their deliverer; `None`
+    /// when the world has neither.
+    link: Option<Arc<LinkStage>>,
     /// Installed immediately after `Arc::new_cyclic` returns, so the
     /// transport's background threads can never observe (or deliver
     /// into) a half-constructed world. Always populated by the time any
@@ -45,31 +47,14 @@ pub(crate) struct WorldInner {
 }
 
 impl WorldInner {
-    /// Route a message: through the fault shim when one is installed,
-    /// then through the delay line when a latency model is installed,
-    /// otherwise straight to the transport.
+    /// Route a message: through the link stage when the world has a
+    /// fault shim or a latency model, otherwise straight to the
+    /// transport.
     pub(crate) fn route(&self, header: Header, body: Bytes) {
-        if let Some(shim) = &self.faults {
-            match shim.apply(&header, &body) {
-                FaultAction::Deliver | FaultAction::DeliverAndHoldCopy => {}
-                // Dropped outright, or held for the shim's background
-                // deliverer (which bypasses the latency line — held
-                // copies already model in-flight time).
-                FaultAction::Drop | FaultAction::HoldOnly => return,
-            }
-        }
-        match &self.delay {
-            Some(line) => line.submit(header, body),
+        match &self.link {
+            Some(link) => link.route(header, body, &**self.transport()),
             None => self.transport().send(header, body),
         }
-    }
-
-    /// The post-shim, post-delay hop: hand a message to the transport.
-    /// Used by the fault shim's and latency line's background
-    /// deliverers, so held/delayed copies cross the same wire as
-    /// everything else.
-    pub(crate) fn transport_send(&self, header: Header, body: Bytes) {
-        self.transport().send(header, body);
     }
 
     pub(crate) fn transport(&self) -> &Arc<dyn Transport> {
@@ -80,7 +65,7 @@ impl WorldInner {
 
     /// Does this OS process host the endpoint at `addr`? False for
     /// out-of-bounds addresses (a corrupted frame must not panic the
-    /// drain thread) and for PEs hosted by other processes.
+    /// transport poller) and for PEs hosted by other processes.
     pub(crate) fn hosts(&self, addr: Address) -> bool {
         addr.pe < self.pes && addr.process < self.procs_per_pe && self.hosted.contains(&addr.pe)
     }
@@ -90,8 +75,8 @@ impl WorldInner {
     /// Stop the pipeline and join the transport's threads. Idempotent.
     ///
     /// This exists separately from `Drop` because drop timing is
-    /// refcount-driven: the fault shim's and delay line's deliverer
-    /// threads hold transient upgrades of their `Weak<WorldInner>`, so
+    /// refcount-driven: the link stage's deliverer and the transport's
+    /// poller hold transient upgrades of their `Weak<WorldInner>`, so
     /// the *last* strong reference can die on one of those threads — in
     /// which case `shutdown` skips joining the caller's own thread and
     /// socket fds linger until it exits. An owner that needs teardown
@@ -100,13 +85,10 @@ impl WorldInner {
     /// instead.
     pub(crate) fn shutdown_now(&self) {
         self.shutdown.call_once(|| {
-            // Upstream stages first, so nothing new reaches the
+            // The link stage first, so nothing new reaches the
             // transport while it tears down.
-            if let Some(shim) = &self.faults {
-                shim.shutdown();
-            }
-            if let Some(line) = &self.delay {
-                line.shutdown();
+            if let Some(link) = &self.link {
+                link.shutdown();
             }
             if let Some(t) = self.transport.get() {
                 t.shutdown();
@@ -184,21 +166,9 @@ impl CommWorld {
         CommWorld::build(pes, procs_per_pe, None, None, transport)
     }
 
-    /// Create a world with any combination of a latency model and the
-    /// fault shim (the general form of [`CommWorld::with_latency`] /
-    /// [`CommWorld::with_faults`]), on the in-process transport.
-    pub fn with_options(
-        pes: u32,
-        procs_per_pe: u32,
-        latency: Option<LatencyModel>,
-        faults: Option<FaultConfig>,
-    ) -> CommWorld {
-        CommWorld::build(pes, procs_per_pe, latency, faults, TransportConfig::InProcess)
-    }
-
     /// The fully general constructor: latency model, fault shim, and
     /// transport backend all chosen independently. The shim and the
-    /// delay line sit *above* the transport, so faults injected on a
+    /// latency model sit *above* the transport, so faults injected on a
     /// TCP world genuinely perturb socket traffic.
     pub fn with_config(
         pes: u32,
@@ -234,8 +204,7 @@ impl CommWorld {
                 procs_per_pe,
                 hosted,
                 endpoints,
-                delay: model.map(|m| DelayLine::start(m, weak.clone())),
-                faults: faults.map(|c| FaultInjector::start(c, weak.clone())),
+                link: LinkStage::start(model, faults, weak.clone()),
                 transport: OnceLock::new(),
                 shutdown: Once::new(),
             }
@@ -252,22 +221,23 @@ impl CommWorld {
 
     /// Whether this world models message flight time.
     pub fn has_latency(&self) -> bool {
-        self.inner.delay.is_some()
+        self.inner.link.as_ref().is_some_and(|l| l.has_latency())
     }
 
     /// Whether this world has the fault shim installed.
     pub fn has_faults(&self) -> bool {
-        self.inner.faults.is_some()
+        self.inner.link.as_ref().is_some_and(|l| l.faults().is_some())
     }
 
     /// What the fault shim has done so far (`None` when no shim is
     /// installed).
     pub fn fault_stats(&self) -> Option<FaultStatsSnapshot> {
-        self.inner.faults.as_ref().map(|f| f.stats().snapshot())
+        let shim = self.inner.link.as_ref()?.faults()?;
+        Some(shim.stats().snapshot())
     }
 
     /// The name of the transport backend this world routes through
-    /// (`"inproc"` or `"tcp"`).
+    /// (`"inproc"` or `"tcp-event"`).
     pub fn transport_name(&self) -> &'static str {
         self.inner.transport().name()
     }
@@ -280,11 +250,10 @@ impl CommWorld {
 
     /// A callable that opportunistically drives the transport's progress
     /// engine from the calling thread, or `None` for backends whose
-    /// delivery needs no external driver (in-process, thread-per-
-    /// connection). Schedulers with spinning idle loops install this so
-    /// socket completions are reaped by an already-running application
-    /// thread instead of waiting for the transport's background poller
-    /// to be scheduled. Safe to call from any thread at any time,
+    /// delivery needs no external driver (in-process). Schedulers with
+    /// spinning idle loops install this so socket completions are reaped
+    /// by an already-running application thread instead of waiting for
+    /// the transport's background poller to be scheduled. Safe to call from any thread at any time,
     /// including after shutdown (it becomes a no-op).
     pub fn progress_fn(&self) -> Option<Arc<dyn Fn() -> bool + Send + Sync>> {
         let t = Arc::clone(self.inner.transport());
@@ -295,11 +264,11 @@ impl CommWorld {
         Some(Arc::new(move || t.try_progress()))
     }
 
-    /// Tear the world down *now*, on the calling thread: stop the fault
-    /// shim and delay line, close every transport socket, and join the
+    /// Tear the world down *now*, on the calling thread: stop the link
+    /// stage, close every transport socket, and join the
     /// transport's background threads. Idempotent, and implied by
     /// dropping the last `CommWorld` clone — but drop timing is
-    /// refcount-driven (a background deliverer's transient upgrade can
+    /// refcount-driven (the link deliverer's transient upgrade can
     /// be the last reference), so callers that need teardown to be
     /// *complete* when this returns — before sampling `/proc/self/fd`,
     /// say — call it explicitly. Messages routed afterwards are

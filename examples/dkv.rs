@@ -215,26 +215,23 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(300);
 
-    let configs: [(&str, TransportConfig, Option<FaultConfig>); 4] = [
-        ("inproc           ", TransportConfig::InProcess, None),
-        (
-            "inproc + faults  ",
-            TransportConfig::InProcess,
-            Some(FaultConfig::new(7).drop_p(0.05).dup_p(0.10).reorder_p(0.10)),
-        ),
-        ("tcp-loopback     ", TransportConfig::tcp_loopback(), None),
-        (
-            "tcp + faults     ",
-            TransportConfig::tcp_loopback(),
-            Some(FaultConfig::new(7).drop_p(0.05).dup_p(0.10).reorder_p(0.10)),
-        ),
+    let faults = Some(FaultConfig::new(7).drop_p(0.05).dup_p(0.10).reorder_p(0.10));
+    let mut configs = vec![
+        ("inproc            ", TransportConfig::InProcess, None),
+        ("inproc + faults   ", TransportConfig::InProcess, faults),
     ];
+    // The socket backend is Linux-only (epoll).
+    if cfg!(target_os = "linux") {
+        let tcp = TransportConfig::tcp_event_loopback;
+        configs.push(("tcp-event         ", tcp(), None));
+        configs.push(("tcp-event + faults", tcp(), faults));
+    }
 
     println!(
         "dkv on chant-kv: {PES} PEs x {CLIENTS_PER_NODE} clients x {ops_per_client} mixed ops \
          (50% get / 40% put / 10% add), {KEYS} keys, replicated x2"
     );
-    println!("config             |    ops |  time ms |  kops/s | muts=vsum | retries | dups suppressed");
+    println!("config            |    ops |  time ms |  kops/s | muts=vsum | retries | dups suppressed");
     for (name, transport, faults) in configs {
         let s = run_config(transport, faults, ops_per_client);
         println!(

@@ -29,9 +29,7 @@ use chant::chant::{ChantGroup, ChantNode, ChanterId, TransportConfig};
 #[allow(dead_code)]
 pub enum Backend {
     InProcess,
-    TcpLoopback,
-    /// The event-loop TCP backend (linux-only): same sockets, but one
-    /// epoll poller thread instead of a drain thread per connection.
+    /// The TCP backend in loopback mode (linux-only).
     #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     TcpEventLoopback,
 }
@@ -41,7 +39,6 @@ impl Backend {
     pub fn config(self) -> TransportConfig {
         match self {
             Backend::InProcess => TransportConfig::InProcess,
-            Backend::TcpLoopback => TransportConfig::tcp_loopback(),
             Backend::TcpEventLoopback => TransportConfig::tcp_event_loopback(),
         }
     }
@@ -86,7 +83,7 @@ pub fn main_group(node: &Arc<ChantNode>, color: u8) -> ChantGroup {
 /// Expand one conformance scenario into a `#[test]` per backend.
 ///
 /// The body is any `Fn(Backend)`; the expansion lives in a module named
-/// `$name`, so `cargo test $name::tcp` runs one backend of one
+/// `$name`, so `cargo test $name::tcp_event` runs one backend of one
 /// scenario.
 #[allow(unused_macros)]
 macro_rules! for_each_transport {
@@ -98,11 +95,6 @@ macro_rules! for_each_transport {
             #[test]
             fn inproc() {
                 ($body)(crate::common::Backend::InProcess);
-            }
-
-            #[test]
-            fn tcp() {
-                ($body)(crate::common::Backend::TcpLoopback);
             }
 
             #[cfg(target_os = "linux")]

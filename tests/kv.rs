@@ -1,8 +1,8 @@
 //! chant-kv conformance and chaos battery: the backend × policy × seed
 //! matrix over the replicated sharded KV service.
 //!
-//! Each scenario expands through `for_each_transport!` so all three
-//! backends (in-process oracle, tcp, tcp-event) carry real KV traffic;
+//! Each scenario expands through `for_each_transport!` so both
+//! backends (in-process oracle, tcp-event) carry real KV traffic;
 //! the scenarios sweep the three polling policies and, for the chaos
 //! and recovery runs, the standard seed trio (pinned with
 //! `CHANT_VPS_SEED` in CI's matrix). Covered:

@@ -1,8 +1,8 @@
 //! Pub-sub conformance and chaos battery: the full backend × policy ×
 //! seed matrix over the fan-out-tree service.
 //!
-//! Each scenario expands through `for_each_transport!` so all three
-//! backends (in-process oracle, tcp, tcp-event) carry real pub-sub
+//! Each scenario expands through `for_each_transport!` so both
+//! backends (in-process oracle, tcp-event) carry real pub-sub
 //! traffic; the scenarios themselves sweep the three polling policies
 //! and, for the chaos runs, the standard seed trio (pinned with
 //! `CHANT_VPS_SEED` in CI's matrix). Covered:

@@ -30,7 +30,7 @@ fn emitter_streams_parseable_deltas_that_sum_to_the_run_totals() {
     let c2 = Arc::clone(&counter);
     let cluster = ChantCluster::builder()
         .pes(2)
-        .transport(TransportConfig::tcp_loopback())
+        .transport(TransportConfig::tcp_event_loopback())
         .telemetry(Duration::from_millis(5))
         .telemetry_path(&path)
         .rsr_handler(FN_COUNT, move |_node, req| {

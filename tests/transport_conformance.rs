@@ -6,8 +6,8 @@
 //! delivery path that the paper's table reproductions run on. The TCP
 //! backend runs here in loopback mode (every endpoint local, every
 //! message through a real kernel socket via the frame codec, the
-//! per-peer connection manager, and a drain thread), so any divergence
-//! is a transport bug, not an environment difference.
+//! per-peer connection manager, and the epoll poller), so any
+//! divergence is a transport bug, not an environment difference.
 //!
 //! Covered per backend, via `for_each_transport!`:
 //! * per-link FIFO ordering under concurrent cross-traffic;
@@ -18,7 +18,7 @@
 //! * retire-on-drop: an abandoned posted receive must not swallow a
 //!   message that arrives later.
 //!
-//! A final cross-backend test runs the same workload on both and
+//! A final cross-backend test runs the same workload on each and
 //! compares the endpoint-level statistics — the matching engine must
 //! not be able to tell the transports apart.
 
@@ -190,6 +190,7 @@ for_each_transport!(retire_on_drop, |backend: Backend| {
 /// that must be transport-invariant (completion-order-dependent
 /// counters like msgtests are excluded: polling counts legitimately
 /// vary with wall-clock timing, matching outcomes must not).
+#[cfg(target_os = "linux")]
 fn workload_totals(backend: Backend) -> (u64, u64, u64) {
     const N: u32 = 64;
     let cluster = ChantCluster::builder()
@@ -208,61 +209,21 @@ fn workload_totals(backend: Backend) -> (u64, u64, u64) {
     (t.sends, t.bytes_sent, t.bytes_received)
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn backends_agree_with_the_inprocess_oracle() {
-    let oracle = workload_totals(Backend::InProcess);
-    let tcp = workload_totals(Backend::TcpLoopback);
     assert_eq!(
-        oracle, tcp,
+        workload_totals(Backend::InProcess),
+        workload_totals(Backend::TcpEventLoopback),
         "endpoint-level statistics must be transport-invariant"
     );
-    #[cfg(target_os = "linux")]
-    {
-        let tcp_event = workload_totals(Backend::TcpEventLoopback);
-        assert_eq!(
-            oracle, tcp_event,
-            "endpoint-level statistics must be transport-invariant (tcp-event)"
-        );
-    }
 }
 
 /// The TCP backend must actually have used sockets (and the in-process
-/// backend must not have): reliability means no frame may be lost.
-#[test]
-fn tcp_loopback_frames_are_conserved() {
-    let cluster = ChantCluster::builder()
-        .pes(2)
-        .transport(TransportConfig::tcp_loopback())
-        .build();
-    cluster.run(|node| {
-        let me = node.self_id();
-        let peer = ChanterId::new(1 - me.pe, 0, me.thread);
-        node.send(peer, 2, b"over the wire").unwrap();
-        node.recv_tag(2).unwrap();
-    });
-    let t = cluster.world().transport_stats();
-    assert_eq!(cluster.world().transport_name(), "tcp");
-    assert!(t.frames_sent > 0, "nothing crossed the socket: {t:?}");
-    assert_eq!(t.frames_sent, t.frames_received, "TCP lost frames: {t:?}");
-    assert_eq!(t.send_failures, 0, "send failures on loopback: {t:?}");
-    assert_eq!(t.malformed_frames, 0, "codec rejected own frames: {t:?}");
-    assert_eq!(t.frame_bytes_sent, t.frame_bytes_received, "byte drift: {t:?}");
-    assert!(t.connects > 0 && t.accepts > 0, "no connections: {t:?}");
-
-    let inproc = ChantCluster::builder().pes(2).build();
-    inproc.run(|_node| {});
-    let s = inproc.world().transport_stats();
-    assert_eq!(inproc.world().transport_name(), "inproc");
-    assert_eq!(
-        (s.connects, s.accepts, s.reconnects, s.malformed_frames),
-        (0, 0, 0, 0),
-        "in-process backend touched sockets: {s:?}"
-    );
-}
-
-/// Same conservation law for the event-loop backend — with coalescing
-/// and partial-write resume in the path, "every frame handed to the
-/// kernel arrives exactly once" is the property most worth holding.
+/// backend must not have): reliability means no frame may be lost. With
+/// coalescing and partial-write resume in the path, "every frame handed
+/// to the kernel arrives exactly once" is the property most worth
+/// holding.
 #[cfg(target_os = "linux")]
 #[test]
 fn tcp_event_loopback_frames_are_conserved() {
@@ -293,6 +254,16 @@ fn tcp_event_loopback_frames_are_conserved() {
     assert!(
         t.pool_hits > 0,
         "buffer pool never produced a hit: {t:?}"
+    );
+
+    let inproc = ChantCluster::builder().pes(2).build();
+    inproc.run(|_node| {});
+    let s = inproc.world().transport_stats();
+    assert_eq!(inproc.world().transport_name(), "inproc");
+    assert_eq!(
+        (s.connects, s.accepts, s.reconnects, s.malformed_frames),
+        (0, 0, 0, 0),
+        "in-process backend touched sockets: {s:?}"
     );
 }
 
@@ -412,9 +383,8 @@ for_each_transport!(transport_stats_deltas_are_monotone, |backend: Backend| {
         "[{backend:?}] counter went backwards report->after: {:?} vs {after:?}",
         report.transport
     );
-    // The report must carry the socket backends' counters at full
-    // fidelity — the event-loop backend included (its stats once lagged
-    // the legacy drain-thread backend's).
+    // The report must carry the socket backend's counters at full
+    // fidelity.
     if backend != Backend::InProcess {
         let t = &report.transport;
         assert!(t.frames_sent > 0 && t.frames_received > 0, "[{backend:?}] {t:?}");
